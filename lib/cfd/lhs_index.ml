@@ -2,61 +2,34 @@ open Dq_relation
 
 type t = {
   sigma : Cfd.t array;
-  tables : Value.t Vkey.Table.t array;
-  (* clauses partitioned for O(probes + matches) per-tuple checking:
-     anchored on their first constant LHS pattern when they have one *)
-  plain : Cfd.t list;
-  anchored : (int * Value.t, Cfd.t list) Hashtbl.t;
+  index : Clause_index.t;
+  tables : Value.t Vkey.Table.t array; (* per embedded FD *)
 }
 
-let partition sigma =
-  let plain = ref [] in
-  let anchored = Hashtbl.create 256 in
-  Array.iter
-    (fun cfd ->
-      let lhs = Cfd.lhs cfd and pats = Cfd.lhs_patterns cfd in
-      let anchor = ref None in
-      Array.iteri
-        (fun i pos ->
-          if !anchor = None then
-            match pats.(i) with
-            | Pattern.Const c -> anchor := Some (pos, c)
-            | Pattern.Wild -> ())
-        lhs;
-      match !anchor with
-      | None -> plain := cfd :: !plain
-      | Some key ->
-        let prev =
-          match Hashtbl.find_opt anchored key with Some l -> l | None -> []
-        in
-        Hashtbl.replace anchored key (cfd :: prev))
-    sigma;
-  (List.rev !plain, anchored)
-
-let add_clause_tuple cfd table t =
-  if Cfd.applies_lhs cfd t then begin
-    let v = Tuple.get t (Cfd.rhs cfd) in
-    if not (Value.is_null v) then begin
-      let key = Cfd.lhs_key cfd t in
-      if not (Vkey.Table.mem table key) then Vkey.Table.add table key v
-    end
-  end
-
+(* A key matches a wildcard row either for every tuple holding it or for
+   none, and only matching keys are ever looked up, so indexing every
+   tuple keeps each lookup identical to a per-clause table holding only
+   the matching tuples: the first non-null RHS value per key wins either
+   way. *)
 let add_tuple idx t =
   Array.iteri
-    (fun i cfd ->
-      if not (Cfd.is_constant cfd) then
-        add_clause_tuple cfd idx.tables.(i) t)
-    idx.sigma
+    (fun f table ->
+      let v = Tuple.get t (Clause_index.fd_rhs idx.index f) in
+      if not (Value.is_null v) then begin
+        let key = Clause_index.fd_key idx.index f (Tuple.get t) in
+        if not (Vkey.Table.mem table key) then Vkey.Table.add table key v
+      end)
+    idx.tables
 
 let build sigma rel =
-  let plain, anchored = partition sigma in
+  let index = Clause_index.compile sigma in
   let idx =
     {
       sigma;
-      tables = Array.map (fun _ -> Vkey.Table.create 256) sigma;
-      plain;
-      anchored;
+      index;
+      tables =
+        Array.init (Clause_index.fd_count index) (fun _ ->
+            Vkey.Table.create 256);
     }
   in
   Relation.iter (fun t -> add_tuple idx t) rel;
@@ -68,7 +41,9 @@ let expected_rhs idx cfd t =
     match Cfd.rhs_pattern cfd with
     | Pattern.Const a -> Some a
     | Pattern.Wild ->
-      Vkey.Table.find_opt idx.tables.(Cfd.id cfd) (Cfd.lhs_key cfd t)
+      let f = Clause_index.fd idx.index (Cfd.id cfd) in
+      Vkey.Table.find_opt idx.tables.(f)
+        (Clause_index.fd_key idx.index f (Tuple.get t))
 
 let violates idx cfd t =
   match expected_rhs idx cfd t with
@@ -79,16 +54,6 @@ let violates idx cfd t =
 
 let vio idx t =
   let n = ref 0 in
-  let check cfd = if violates idx cfd t then incr n in
-  List.iter check idx.plain;
-  for p = 0 to Tuple.arity t - 1 do
-    match Hashtbl.find_opt idx.anchored (p, Tuple.get t p) with
-    | Some cfds -> List.iter check cfds
-    | None -> ()
-  done;
+  Clause_index.iter_candidates idx.index (Tuple.get t) (fun i ->
+      if violates idx idx.sigma.(i) t then incr n);
   !n
-
-let vio_subset idx clauses t =
-  List.fold_left
-    (fun n cfd -> if violates idx cfd t then n + 1 else n)
-    0 clauses

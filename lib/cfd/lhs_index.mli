@@ -1,13 +1,17 @@
 (** LHS-indices (Section 5.2).
 
-    For each clause [φ = (X → A, tp)] over a {e clean} relation, the index
-    maps the LHS key [t'[X]] of every tuple matching [tp[X]] to the unique
-    RHS value the relation holds for it.  A candidate tuple can then be
-    checked against all of Σ in O(|Σ|) hash lookups instead of a scan —
-    the workhorse of [TUPLERESOLVE].
+    Over a {e clean} relation, the index maps the [X] values [t'[X]] of
+    the tuples to the unique [A] value the relation holds for them, with
+    {e one table per embedded FD} [X → A] of Σ's wildcard-RHS clauses (see
+    {!Clause_index}): tuples that agree on [X] match the same pattern
+    rows, so every wildcard row of an FD reads the same entry.  A
+    candidate tuple is then checked against the clauses the compiled
+    anchored lookup offers, one hash lookup each, instead of a scan — the
+    workhorse of [TUPLERESOLVE].
 
     Constant-RHS clauses need no table: the expected value is [tp[A]]
-    itself, so checking is a direct pattern test. *)
+    itself, so checking is a direct pattern test.  Clause ids index Σ
+    (see {!Cfd.number}). *)
 
 open Dq_relation
 
@@ -33,6 +37,3 @@ val violates : t -> Cfd.t -> Tuple.t -> bool
 
 val vio : t -> Tuple.t -> int
 (** Number of clauses of Σ the tuple would violate if inserted. *)
-
-val vio_subset : t -> Cfd.t list -> Tuple.t -> int
-(** Like {!vio} restricted to the given clauses. *)

@@ -47,111 +47,70 @@ let violates_constant cfd t =
     let v = Tuple.get t (Cfd.rhs cfd) in
     (not (Value.is_null v)) && not (Value.equal v a)
 
-let pair_conflict cfd t1 t2 =
-  Pattern.is_wild (Cfd.rhs_pattern cfd)
-  && Cfd.applies_lhs cfd t1 && Cfd.applies_lhs cfd t2
-  && Vkey.equal (Cfd.lhs_key cfd t1) (Cfd.lhs_key cfd t2)
-  &&
-  let v1 = Tuple.get t1 (Cfd.rhs cfd) and v2 = Tuple.get t2 (Cfd.rhs cfd) in
-  (not (Value.is_null v1)) && (not (Value.is_null v2)) && not (Value.equal v1 v2)
-
 (* ---- constant clauses ------------------------------------------------- *)
 
-(* Pattern tableaus can hold thousands of rows, so scanning every clause
-   per tuple is ruinous; instead each constant clause is anchored on its
-   first constant LHS pattern and looked up by the tuple's own value at
-   that position — O(arity) probes per tuple plus the matching rows. *)
-type const_index = {
-  plain : Cfd.t list; (* all-wildcard-LHS constant clauses, in Σ order *)
-  anchored : (int * Value.t, Cfd.t list) Hashtbl.t;
-}
-
-let const_index sigma =
-  let plain = ref [] in
-  let anchored = Hashtbl.create 256 in
-  Array.iter
-    (fun cfd ->
-      if Cfd.is_constant cfd then begin
-        let lhs = Cfd.lhs cfd and pats = Cfd.lhs_patterns cfd in
-        let anchor = ref None in
-        Array.iteri
-          (fun i pos ->
-            if !anchor = None then
-              match pats.(i) with
-              | Pattern.Const c -> anchor := Some (pos, c)
-              | Pattern.Wild -> ())
-          lhs;
-        match !anchor with
-        | None -> plain := cfd :: !plain
-        | Some key ->
-          let prev =
-            match Hashtbl.find_opt anchored key with Some l -> l | None -> []
-          in
-          Hashtbl.replace anchored key (cfd :: prev)
-      end)
-    sigma;
-  { plain = List.rev !plain; anchored }
-
-(* Probe the index with one tuple, calling [check] on every candidate
-   clause in the canonical order: plain clauses first (Σ order), then
-   anchored clauses by anchor position.  Pure reads only — safe to run
-   concurrently over disjoint tuple chunks. *)
-let iter_tuple_candidates idx arity t check =
-  List.iter check idx.plain;
-  for p = 0 to arity - 1 do
-    match Hashtbl.find_opt idx.anchored (p, Tuple.get t p) with
-    | Some cfds -> List.iter check cfds
-    | None -> ()
+(* Check tuples [lo, hi) against the constant clauses the compiled Σ
+   offers each of them: [single i cfd] per violation, in relation order
+   and, per tuple, in candidate order.  [stop] is polled before each
+   tuple.  Pure reads only — safe to run concurrently over disjoint
+   chunks. *)
+let scan_constants ?(stop = fun () -> false) idx sigma tuples ~single lo hi =
+  let i = ref lo in
+  while !i < hi && not (stop ()) do
+    let t = tuples.(!i) in
+    Clause_index.iter_candidates idx (Tuple.get t) (fun c ->
+        if Clause_index.fd idx c < 0 && violates_constant sigma.(c) t then
+          single !i sigma.(c));
+    incr i
   done
 
-(* ---- wildcard clauses: partition-and-merge group tables --------------- *)
+(* ---- wildcard clauses: one group table per embedded FD ---------------- *)
 
-(* Group the tuples matching a wildcard-RHS clause's LHS pattern by their
-   LHS key, recording per-group RHS value multiplicities.  All
-   pair-violation queries reduce to these group statistics.  [members] is
-   kept in relation order so witness choice is independent of hashing and
-   chunking. *)
+(* The tuples matching at least one wildcard row of an embedded FD,
+   grouped by their X values, with RHS value multiplicities.  All
+   pair-violation queries reduce to these statistics.  Matching depends on
+   X alone, so [rows] — the matched wildcard clauses, ascending — is the
+   same for every member.  [members] holds tuple positions: in relation
+   order once merged, reversed while a chunk is being scanned. *)
 type group = {
-  mutable members : Tuple.t list;
+  mutable members : int list;
   rhs_counts : (Value.t, int ref) Hashtbl.t; (* non-null RHS values *)
   mutable non_null : int;
+  rows : int list;
 }
 
-(* One chunk's worth of a clause's group table; [rmembers] holds the
-   chunk's members in reverse chunk order (prepend-built). *)
-type chunk_group = {
-  mutable rmembers : Tuple.t list;
-  chunk_rhs_counts : (Value.t, int ref) Hashtbl.t;
-  mutable chunk_non_null : int;
-}
-
-let chunk_groups cfd tuples lo hi =
+let chunk_groups idx sigma f tuples lo hi =
   let table = Vkey.Table.create 256 in
+  let rhs = Clause_index.fd_rhs idx f in
   for i = lo to hi - 1 do
     let t = tuples.(i) in
-    if Cfd.applies_lhs cfd t then begin
-      let key = Cfd.lhs_key cfd t in
+    let rows = ref [] in
+    Clause_index.iter_fd_rows idx f (Tuple.get t) (fun c ->
+        if Cfd.applies_lhs sigma.(c) t then rows := c :: !rows);
+    if !rows <> [] then begin
+      let key = Clause_index.fd_key idx f (Tuple.get t) in
       let g =
         match Vkey.Table.find_opt table key with
         | Some g -> g
         | None ->
           let g =
             {
-              rmembers = [];
-              chunk_rhs_counts = Hashtbl.create 4;
-              chunk_non_null = 0;
+              members = [];
+              rhs_counts = Hashtbl.create 4;
+              non_null = 0;
+              rows = List.sort Int.compare !rows;
             }
           in
           Vkey.Table.add table key g;
           g
       in
-      g.rmembers <- t :: g.rmembers;
-      let v = Tuple.get t (Cfd.rhs cfd) in
+      g.members <- i :: g.members;
+      let v = Tuple.get t rhs in
       if not (Value.is_null v) then begin
-        g.chunk_non_null <- g.chunk_non_null + 1;
-        match Hashtbl.find_opt g.chunk_rhs_counts v with
+        g.non_null <- g.non_null + 1;
+        match Hashtbl.find_opt g.rhs_counts v with
         | Some n -> incr n
-        | None -> Hashtbl.add g.chunk_rhs_counts v (ref 1)
+        | None -> Hashtbl.add g.rhs_counts v (ref 1)
       end
     end
   done;
@@ -160,45 +119,43 @@ let chunk_groups cfd tuples lo hi =
 (* Merge chunk tables into one table whose member lists are in relation
    order.  Chunks are folded from last to first so each group's members
    are rebuilt by prepending whole (already-ordered) chunk segments —
-   O(total members), and the result is independent of chunk boundaries. *)
+   O(total members), and the result is independent of chunk boundaries.
+   The chunk groups are reused, so the chunk tables are dead afterwards. *)
 let merge_chunk_groups chunk_tables =
   let merged = Vkey.Table.create 256 in
   List.iter
     (fun chunk_table ->
       Vkey.Table.iter
-        (fun key (cg : chunk_group) ->
-          let g =
-            match Vkey.Table.find_opt merged key with
-            | Some g -> g
-            | None ->
-              let g =
-                { members = []; rhs_counts = Hashtbl.create 4; non_null = 0 }
-              in
-              Vkey.Table.add merged key g;
-              g
-          in
-          g.members <- List.rev_append cg.rmembers g.members;
-          g.non_null <- g.non_null + cg.chunk_non_null;
-          Hashtbl.iter
-            (fun v n ->
-              match Hashtbl.find_opt g.rhs_counts v with
-              | Some m -> m := !m + !n
-              | None -> Hashtbl.add g.rhs_counts v (ref !n))
-            cg.chunk_rhs_counts)
+        (fun key (cg : group) ->
+          match Vkey.Table.find_opt merged key with
+          | None ->
+            cg.members <- List.rev cg.members;
+            Vkey.Table.add merged key cg
+          | Some g ->
+            g.members <- List.rev_append cg.members g.members;
+            g.non_null <- g.non_null + cg.non_null;
+            Hashtbl.iter
+              (fun v n ->
+                match Hashtbl.find_opt g.rhs_counts v with
+                | Some m -> m := !m + !n
+                | None -> Hashtbl.add g.rhs_counts v (ref !n))
+              cg.rhs_counts)
         chunk_table)
     (List.rev chunk_tables);
   merged
 
-let groups_of_clause ?pool ?deadline tuples cfd =
-  let n = Array.length tuples in
+(* Embedded FD [f]'s group table over the tuple snapshot: one pool
+   barrier, whatever the number of pattern rows sharing the FD. *)
+let groups_of_fd ?pool ?deadline idx sigma tuples f =
   merge_chunk_groups
-    (Pool.map_chunks ?deadline ~label:"groups.chunk" pool ~n (fun lo hi ->
-         chunk_groups cfd tuples lo hi))
+    (Pool.map_chunks ?deadline ~label:"groups.chunk" pool
+       ~n:(Array.length tuples) (chunk_groups idx sigma f tuples))
 
 let group_conflicts g = Hashtbl.length g.rhs_counts >= 2
 
 (* Number of pair violations a tuple with RHS value [v] incurs inside its
-   group: members whose RHS value is non-null and different from [v]. *)
+   group, per matched row: members whose RHS value is non-null and
+   different from [v]. *)
 let group_vio_of g v =
   if Value.is_null v then 0
   else
@@ -207,17 +164,14 @@ let group_vio_of g v =
     in
     g.non_null - same
 
-let wild_clauses sigma =
-  Array.to_list sigma |> List.filter (fun cfd -> not (Cfd.is_constant cfd))
-
 (* ---- the public detection API ----------------------------------------- *)
 
-(* Every function below follows the same partition-and-merge shape: build
-   read-only indexes (constant anchors, per-clause group tables), then scan
-   the tuple snapshot in chunks whose results are merged in chunk-index
-   order.  Chunk boundaries never influence the merged result, so output is
-   byte-identical at any job count — including the no-pool path, which is
-   the same code on a single chunk. *)
+(* Every function below follows the same partition-and-merge shape: scan
+   the tuple snapshot in chunks against the compiled Σ — once for the
+   constant clauses, then once per embedded FD — with chunk results merged
+   in chunk-index order.  Chunk boundaries never influence the merged
+   result, so output is byte-identical at any job count — including the
+   no-pool path, which is the same code on a single chunk. *)
 
 let find_all ?pool rel sigma =
   Trace.span ~cat:"violation" ~args:(scan_args rel sigma) "find_all"
@@ -225,87 +179,54 @@ let find_all ?pool rel sigma =
   Metrics.time m_find_all @@ fun () ->
   Metrics.incr m_scans;
   let tuples = Relation.tuples rel in
-  let n = Array.length tuples in
-  let arity = Schema.arity (Relation.schema rel) in
-  let idx = const_index sigma in
+  let idx = Clause_index.compile sigma in
   let singles =
-    Pool.map_chunks ~label:"find_all.chunk" pool ~n (fun lo hi ->
+    Pool.map_chunks ~label:"find_all.chunk" pool ~n:(Array.length tuples)
+      (fun lo hi ->
         let out = ref [] in
-        for i = lo to hi - 1 do
-          let t = tuples.(i) in
-          iter_tuple_candidates idx arity t (fun cfd ->
-              if violates_constant cfd t then
-                out := Single { tid = Tuple.tid t; cfd } :: !out)
-        done;
+        scan_constants idx sigma tuples lo hi ~single:(fun i cfd ->
+            out := Single { tid = Tuple.tid tuples.(i); cfd } :: !out);
         List.rev !out)
   in
-  (* One pair per involved tuple, each against a witness with a different
-     (non-null) RHS value, so every involved tuple is reported without a
-     quadratic listing.  The witness is the group's first such member in
-     relation order. *)
+  (* One pair per involved tuple and matched row, each against a witness
+     with a different (non-null) RHS value, so every involved tuple is
+     reported without a quadratic listing.  The witness is the group's
+     first such member in relation order.  Pairs are then ordered by
+     clause, and by tuple within a clause. *)
+  let pairs = ref [] in
+  for f = 0 to Clause_index.fd_count idx - 1 do
+    let rhs_of i = Tuple.get tuples.(i) (Clause_index.fd_rhs idx f) in
+    Vkey.Table.iter
+      (fun _key g ->
+        if group_conflicts g then
+          List.iter
+            (fun i ->
+              let v = rhs_of i in
+              if group_vio_of g v > 0 then begin
+                let witness =
+                  List.find
+                    (fun j ->
+                      let v' = rhs_of j in
+                      (not (Value.is_null v')) && not (Value.equal v v'))
+                    g.members
+                in
+                let tid1 = Tuple.tid tuples.(i)
+                and tid2 = Tuple.tid tuples.(witness) in
+                List.iter
+                  (fun c ->
+                    pairs :=
+                      ((c, i), Pair { tid1; tid2; cfd = sigma.(c) }) :: !pairs)
+                  g.rows
+              end)
+            g.members)
+      (groups_of_fd ?pool idx sigma tuples f)
+  done;
   let pairs =
-    List.map
-      (fun cfd ->
-        let table = groups_of_clause ?pool tuples cfd in
-        Pool.map_chunks ~label:"find_all.chunk" pool ~n (fun lo hi ->
-            let out = ref [] in
-            for i = lo to hi - 1 do
-              let t = tuples.(i) in
-              if Cfd.applies_lhs cfd t then
-                match Vkey.Table.find_opt table (Cfd.lhs_key cfd t) with
-                | Some g when group_conflicts g ->
-                  let v = Tuple.get t (Cfd.rhs cfd) in
-                  if group_vio_of g v > 0 then begin
-                    let witness =
-                      List.find
-                        (fun t' ->
-                          let v' = Tuple.get t' (Cfd.rhs cfd) in
-                          (not (Value.is_null v')) && not (Value.equal v v'))
-                        g.members
-                    in
-                    out :=
-                      Pair { tid1 = Tuple.tid t; tid2 = Tuple.tid witness; cfd }
-                      :: !out
-                  end
-                | Some _ | None -> ()
-            done;
-            List.rev !out))
-      (wild_clauses sigma)
+    List.sort (fun (k1, _) (k2, _) -> compare k1 k2) !pairs |> List.map snd
   in
-  let all = List.concat (singles @ List.concat pairs) in
+  let all = List.concat singles @ pairs in
   if Metrics.enabled () then Metrics.add m_found (List.length all);
   all
-
-(* vio(t) for every tuple at once, as an array aligned with [tuples].
-   Chunks write only their own slots, so the array needs no locking. *)
-let counts_array ?pool ?deadline rel sigma tuples =
-  let n = Array.length tuples in
-  let arity = Schema.arity (Relation.schema rel) in
-  let idx = const_index sigma in
-  let counts = Array.make n 0 in
-  Pool.for_chunks ?deadline ~label:"vio_counts.chunk" pool ~n (fun lo hi ->
-      for i = lo to hi - 1 do
-        let t = tuples.(i) in
-        let c = ref 0 in
-        iter_tuple_candidates idx arity t (fun cfd ->
-            if violates_constant cfd t then incr c);
-        counts.(i) <- !c
-      done);
-  List.iter
-    (fun cfd ->
-      let table = groups_of_clause ?pool ?deadline tuples cfd in
-      Pool.for_chunks ?deadline ~label:"vio_counts.chunk" pool ~n (fun lo hi ->
-          for i = lo to hi - 1 do
-            let t = tuples.(i) in
-            if Cfd.applies_lhs cfd t then
-              match Vkey.Table.find_opt table (Cfd.lhs_key cfd t) with
-              | Some g ->
-                counts.(i) <-
-                  counts.(i) + group_vio_of g (Tuple.get t (Cfd.rhs cfd))
-              | None -> ()
-          done))
-    (wild_clauses sigma);
-  counts
 
 let vio_counts ?pool ?deadline rel sigma =
   Trace.span ~cat:"violation" ~args:(scan_args rel sigma) "vio_counts"
@@ -313,7 +234,27 @@ let vio_counts ?pool ?deadline rel sigma =
   Metrics.time m_vio_counts @@ fun () ->
   Metrics.incr m_scans;
   let tuples = Relation.tuples rel in
-  let counts = counts_array ?pool ?deadline rel sigma tuples in
+  let idx = Clause_index.compile sigma in
+  (* vio(t) per tuple position.  Chunks write only their own slots, so the
+     array needs no locking. *)
+  let counts = Array.make (Array.length tuples) 0 in
+  Pool.for_chunks ?deadline ~label:"vio_counts.chunk" pool
+    ~n:(Array.length tuples) (fun lo hi ->
+      scan_constants idx sigma tuples lo hi ~single:(fun i _ ->
+          counts.(i) <- counts.(i) + 1));
+  for f = 0 to Clause_index.fd_count idx - 1 do
+    let rhs = Clause_index.fd_rhs idx f in
+    Vkey.Table.iter
+      (fun _key g ->
+        if group_conflicts g then
+          let rows = List.length g.rows in
+          List.iter
+            (fun i ->
+              counts.(i) <-
+                counts.(i) + (rows * group_vio_of g (Tuple.get tuples.(i) rhs)))
+            g.members)
+      (groups_of_fd ?pool ?deadline idx sigma tuples f)
+  done;
   if Metrics.enabled () then Metrics.add m_found (Array.fold_left ( + ) 0 counts);
   (* Materialised in relation order, so the table's internal layout (and
      hence any fold over it) is identical at every job count. *)
@@ -330,65 +271,26 @@ let violating_tids rel sigma =
     [] rel
   |> List.rev
 
-let total ?pool rel sigma =
-  let tuples = Relation.tuples rel in
-  Array.fold_left ( + ) 0 (counts_array ?pool rel sigma tuples)
-
-let vio_tuple rel sigma t =
-  let vio = ref 0 in
-  Array.iter
-    (fun cfd ->
-      if Cfd.is_constant cfd then begin
-        if violates_constant cfd t then incr vio
-      end
-      else if Cfd.applies_lhs cfd t then begin
-        let v = Tuple.get t (Cfd.rhs cfd) in
-        if not (Value.is_null v) then begin
-          let key = Cfd.lhs_key cfd t in
-          Relation.iter
-            (fun t' ->
-              if
-                Tuple.tid t' <> Tuple.tid t
-                && Cfd.applies_lhs cfd t'
-                && Vkey.equal (Cfd.lhs_key cfd t') key
-              then
-                let v' = Tuple.get t' (Cfd.rhs cfd) in
-                if (not (Value.is_null v')) && not (Value.equal v v') then incr vio)
-            rel
-        end
-      end)
-    sigma;
-  !vio
-
 let satisfies ?pool rel sigma =
   Trace.span ~cat:"violation" ~args:(scan_args rel sigma) "satisfies"
   @@ fun () ->
   Metrics.time m_satisfies @@ fun () ->
   Metrics.incr m_scans;
   let tuples = Relation.tuples rel in
-  let n = Array.length tuples in
-  let arity = Schema.arity (Relation.schema rel) in
-  let idx = const_index sigma in
+  let idx = Clause_index.compile sigma in
   let found = Atomic.make false in
-  Pool.for_chunks ~label:"satisfies.chunk" pool ~n (fun lo hi ->
-      let i = ref lo in
-      while (not (Atomic.get found)) && !i < hi do
-        let t = tuples.(!i) in
-        (try
-           iter_tuple_candidates idx arity t (fun cfd ->
-               if violates_constant cfd t then raise Exit)
-         with Exit -> Atomic.set found true);
-        incr i
-      done);
+  Pool.for_chunks ~label:"satisfies.chunk" pool ~n:(Array.length tuples)
+    (fun lo hi ->
+      scan_constants idx sigma tuples lo hi
+        ~stop:(fun () -> Atomic.get found)
+        ~single:(fun _ _ -> Atomic.set found true));
+  let fd_holds f =
+    try
+      Vkey.Table.iter
+        (fun _key g -> if group_conflicts g then raise Exit)
+        (groups_of_fd ?pool idx sigma tuples f);
+      true
+    with Exit -> false
+  in
   (not (Atomic.get found))
-  && not
-       (List.exists
-          (fun cfd ->
-            let table = groups_of_clause ?pool tuples cfd in
-            try
-              Vkey.Table.iter
-                (fun _key g -> if group_conflicts g then raise Exit)
-                table;
-              false
-            with Exit -> true)
-          (wild_clauses sigma))
+  && List.for_all fd_holds (List.init (Clause_index.fd_count idx) Fun.id)

@@ -13,14 +13,18 @@
     causes violations.  This is exactly what makes setting a target to
     [null] a terminal resolution step in the repairing algorithms.
 
-    {b Parallelism.}  Detection is embarrassingly parallel: the functions
-    below accept an optional domain pool and partition the tuple snapshot
-    into chunks, each scanned against read-only clause indexes
-    (per-clause group tables for wildcard-RHS clauses, an anchored index
-    for constant clauses), with chunk results merged in chunk-index
-    order.  Results are {e byte-identical at any job count}, and the
-    sequential path (no [pool]) runs the very same code on a single
-    chunk. *)
+    {b Compiled index and parallelism.}  Each function compiles Σ once
+    into a {!Clause_index}.  Constant clauses are probed through its
+    anchored lookup.  Wildcard-RHS clauses are grouped by their embedded
+    FD [X → A]: tuples that agree on [X] match the same pattern rows, so
+    all rows of one FD share one group table keyed by [t[X]], and a
+    group's [vio] contribution counts once per row its members match.
+    Detection scans the tuple snapshot once for the constant clauses and
+    once per embedded FD (one pool barrier each, however many pattern
+    rows share the FD), each chunk building private results that are
+    merged in chunk-index order.  Results are {e byte-identical at any job
+    count}, and the sequential path (no [pool]) runs the very same code on
+    a single chunk. *)
 
 open Dq_relation
 
@@ -38,27 +42,19 @@ val violates_constant : Cfd.t -> Tuple.t -> bool
 (** Case-1 check for one tuple against a constant-RHS clause (always [false]
     for a wildcard-RHS clause). *)
 
-val pair_conflict : Cfd.t -> Tuple.t -> Tuple.t -> bool
-(** Case-2 check for two tuples against a wildcard-RHS clause (always
-    [false] for a constant-RHS clause — such conflicts surface as case 1). *)
-
 val find_all : ?pool:Dq_parallel.Pool.t -> Relation.t -> Cfd.t array -> t list
 (** All single-tuple violations, plus — to avoid a quadratic listing — for
     each conflicting group one {!Pair} per tuple, against a witness holding
     a different RHS value.  Every tuple involved in any violation appears in
-    at least one returned violation; use {!vio_tuple}/{!total} for exact
-    counts.  Order is canonical and job-count independent: constant-clause
-    singles in relation order first, then pairs per wildcard clause in Σ
-    order, each clause's pairs in relation order with the witness being the
+    at least one returned violation; use {!vio_counts} for exact counts.
+    Order is canonical and job-count independent: constant-clause singles
+    in relation order first, then pairs per wildcard clause in Σ order,
+    each clause's pairs in relation order with the witness being the
     group's first conflicting member in relation order. *)
 
 val violating_tids : Relation.t -> Cfd.t array -> int list
 (** Distinct tids of tuples involved in at least one violation, in
     insertion order. *)
-
-val vio_tuple : Relation.t -> Cfd.t array -> Tuple.t -> int
-(** [vio(t)]: number of violations incurred by [t] (Section 3.1).  The tuple
-    need not belong to the relation (used to score candidate insertions). *)
 
 val vio_counts :
   ?pool:Dq_parallel.Pool.t ->
@@ -67,13 +63,10 @@ val vio_counts :
   Cfd.t array ->
   (int, int) Hashtbl.t
 (** [vio(t)] for every tuple of the relation at once (tid-keyed); tuples
-    with no violations are absent.  One pass per clause; the table is
+    with no violations are absent.  One scan for all of Σ; the table is
     populated in relation order so folds over it are deterministic.
     An expired [deadline] raises [Dq_fault.Deadline.Expired] (checked at
     chunk boundaries). *)
-
-val total : ?pool:Dq_parallel.Pool.t -> Relation.t -> Cfd.t array -> int
-(** [vio(D)]: sum of [vio(t)] over all tuples. *)
 
 val satisfies : ?pool:Dq_parallel.Pool.t -> Relation.t -> Cfd.t array -> bool
 (** [D |= Σ] — no violation of any clause, with early exit (cooperative

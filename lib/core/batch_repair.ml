@@ -71,19 +71,11 @@ type state = {
   arity : int;
   buckets : (int, unit) Hashtbl.t Vkey.Table.t array; (* wild cfds only *)
   bucket_key : (int, Vkey.t) Hashtbl.t array; (* tid -> its current key *)
-  attr_cfds_plain : int list array;
-  (* attr -> clauses mentioning it whose LHS patterns are all wildcards *)
-  attr_cfds_anchored : (int * Value.t, int list) Hashtbl.t array;
-  (* attr -> (anchor position, anchor constant) -> clauses mentioning attr
-     whose LHS pattern holds that constant at that position.  A tuple can
-     only match such a clause if its effective value at the anchor equals
-     the constant, so lookups by the tuple's own values prune the
-     (potentially thousands of) pattern rows to the handful that apply. *)
+  index : Clause_index.t;
+  (* Σ's anchored clause lookup, probed with effective values: it prunes
+     the (potentially thousands of) pattern rows to the handful a tuple
+     can match. *)
   attr_lhs_wild : int list array; (* attr -> wildcard-RHS clauses with attr in LHS *)
-  const_plain : int list; (* constant-RHS clauses with all-wildcard LHS *)
-  const_anchored : (int * Value.t, int list) Hashtbl.t;
-  (* (anchor position, anchor constant) -> constant-RHS clauses, for the
-     full-relation rescans *)
   strata : int array; (* cfd id -> dependency-graph stratum *)
   queue : (int * int) Heap.t;
   (* (cfd id, tid) keyed by plan cost, ties broken by (cfd id, tid).  The
@@ -147,21 +139,17 @@ let offer st cid tid =
     Hashtbl.replace st.enqueued key optimistic;
     Heap.add st.queue ~priority:optimistic key
 
-(* Clauses mentioning [attr] that the tuple could currently match, given
-   its effective values read through [eff_at]. *)
-let clauses_touching st eff_at attr =
-  let out = ref st.attr_cfds_plain.(attr) in
-  for p = 0 to st.arity - 1 do
-    match Hashtbl.find_opt st.attr_cfds_anchored.(attr) (p, eff_at p) with
-    | Some cids -> out := List.rev_append cids !out
-    | None -> ()
-  done;
-  !out
+(* Call [f] on the clauses mentioning [attr] that the tuple could
+   currently match, given its effective values read through [eff_at]:
+   once per mention, so a clause whose RHS also sits in its LHS is visited
+   twice for that attribute. *)
+let iter_touching st eff_at attr f =
+  Clause_index.iter_candidates st.index eff_at (fun cid ->
+      if Array.exists (Int.equal attr) st.lhs_of.(cid) then f cid;
+      if Cfd.rhs st.sigma.(cid) = attr then f cid)
 
 let mark_dirty st tid attr =
-  List.iter
-    (fun cid -> offer st cid tid)
-    (clauses_touching st (eff st tid) attr)
+  iter_touching st (eff st tid) attr (fun cid -> offer st cid tid)
 
 (* Buckets: group tuples of each wildcard-RHS clause by their effective LHS
    key, maintained incrementally as targets change. *)
@@ -423,8 +411,7 @@ let findv_candidates st cid lhs_pos tid =
 let vio_estimate st tid attr v =
   let eff' tid' a = if tid' = tid && a = attr then v else eff st tid' a in
   let count = ref 0 in
-  List.iter
-    (fun cid ->
+  iter_touching st (eff' tid) attr (fun cid ->
       let cfd = st.sigma.(cid) in
       let lhs = st.lhs_of.(cid) and pats = st.lhs_pats_of.(cid) in
       let lhs_match =
@@ -459,8 +446,7 @@ let vio_estimate st tid attr v =
               in
               if conflicting then incr count
           end
-      end)
-    (clauses_touching st (eff' tid) attr);
+      end);
   !count
 
 (* costfix-style score: weighted change cost, inflated by the violations
@@ -818,47 +804,10 @@ let init_state ?eq rel sigma ~use_dependency_graph ~canonical =
   let n = Array.length sigma in
   let lhs_of = Array.map Cfd.lhs sigma in
   let lhs_pats_of = Array.map Cfd.lhs_patterns sigma in
-  let attr_cfds_plain = Array.make arity [] in
-  let attr_cfds_anchored =
-    Array.init arity (fun _ -> Hashtbl.create 64)
-  in
   let attr_lhs_wild = Array.make arity [] in
-  let const_plain = ref [] in
-  let const_anchored = Hashtbl.create 256 in
   Array.iteri
     (fun cid cfd ->
-      (* Anchor the clause on its first constant LHS pattern, if any. *)
-      let anchor = ref None in
-      Array.iteri
-        (fun i pos ->
-          if !anchor = None then
-            match lhs_pats_of.(cid).(i) with
-            | Pattern.Const c -> anchor := Some (pos, c)
-            | Pattern.Wild -> ())
-        lhs_of.(cid);
-      List.iter
-        (fun attr ->
-          match !anchor with
-          | None -> attr_cfds_plain.(attr) <- cid :: attr_cfds_plain.(attr)
-          | Some key ->
-            let tbl = attr_cfds_anchored.(attr) in
-            let prev =
-              match Hashtbl.find_opt tbl key with Some l -> l | None -> []
-            in
-            Hashtbl.replace tbl key (cid :: prev))
-        (Cfd.attrs cfd);
-      if Cfd.is_constant cfd then begin
-        match !anchor with
-        | None -> const_plain := cid :: !const_plain
-        | Some key ->
-          let prev =
-            match Hashtbl.find_opt const_anchored key with
-            | Some l -> l
-            | None -> []
-          in
-          Hashtbl.replace const_anchored key (cid :: prev)
-      end
-      else
+      if not (Cfd.is_constant cfd) then
         Array.iter
           (fun attr -> attr_lhs_wild.(attr) <- cid :: attr_lhs_wild.(attr))
           lhs_of.(cid))
@@ -885,11 +834,8 @@ let init_state ?eq rel sigma ~use_dependency_graph ~canonical =
       arity;
       buckets = Array.map (fun _ -> Vkey.Table.create 256) sigma;
       bucket_key = Array.map (fun _ -> Hashtbl.create 256) sigma;
-      attr_cfds_plain;
-      attr_cfds_anchored;
+      index = Clause_index.compile sigma;
       attr_lhs_wild;
-      const_plain = !const_plain;
-      const_anchored;
       strata;
       queue = Heap.create ~tie:compare ();
       enqueued = Hashtbl.create 1024;
@@ -978,8 +924,7 @@ let offer_all_violations st =
   in
   (* Constant clauses: probe the anchored clause index with each tuple's
      own effective values rather than scanning every pattern row per
-     tuple.  (Anchored clauses with a wildcard RHS are re-checked too,
-     harmlessly: [check] only offers genuinely violating constant rows.) *)
+     tuple. *)
   let check tid cid =
     let cfd = st.sigma.(cid) in
     match Cfd.rhs_pattern cfd with
@@ -993,13 +938,7 @@ let offer_all_violations st =
   Relation.iter
     (fun t ->
       let tid = Tuple.tid t in
-      let eff_at = eff st tid in
-      List.iter (check tid) st.const_plain;
-      for p = 0 to st.arity - 1 do
-        match Hashtbl.find_opt st.const_anchored (p, eff_at p) with
-        | Some cids -> List.iter (check tid) cids
-        | None -> ()
-      done)
+      Clause_index.iter_candidates st.index (eff st tid) (check tid))
     st.rel;
   offer_wild_violations st ~offer:(fun cid tid -> offer st cid tid);
   !offered
@@ -1036,12 +975,7 @@ let initial_offer ?pool ?deadline st =
             if (not (Value.is_null v)) && not (Value.equal v a) then
               out := (cid, tid) :: !out
       in
-      List.iter check st.const_plain;
-      for p = 0 to st.arity - 1 do
-        match Hashtbl.find_opt st.const_anchored (p, Tuple.get t p) with
-        | Some cids -> List.iter check cids
-        | None -> ()
-      done
+      Clause_index.iter_candidates st.index (Tuple.get t) check
     done;
     List.rev !out
   in
@@ -1071,6 +1005,13 @@ let repair_single ?pool ?(use_dependency_graph = true)
      Without either flag the engine behaves — byte for byte — as it did
      before checkpointing existed. *)
   let canonical = checkpoint <> None || resume <> None in
+  (* Expensive invariant check after every step, for debugging the
+     incremental dirty propagation; an empty value counts as unset. *)
+  let paranoid =
+    match Sys.getenv_opt "DATAQUAL_PARANOID" with
+    | None | Some "" -> false
+    | Some _ -> true
+  in
   let invalid =
     match checkpoint with
     | Some { every; _ } when every < 1 ->
@@ -1206,8 +1147,8 @@ let repair_single ?pool ?(use_dependency_graph = true)
               !pass_no !steps (Heap.length st.queue)
               (float_of_int !steps
               /. Float.max 1e-9 (Unix.gettimeofday () -. started)));
-      if Sys.getenv_opt "DATAQUAL_PARANOID" <> None then begin
-        (* Expensive invariant check: every live violation must be queued. *)
+      if paranoid then begin
+        (* Every live violation must be queued. *)
         Array.iteri
           (fun cid cfd ->
             if not (Cfd.is_constant cfd) then

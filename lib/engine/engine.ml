@@ -211,7 +211,7 @@ let all () = builtin @ !registered
 
 let names () = List.map (fun (module E : ENGINE) -> E.name) (all ())
 
-(* Historical spellings from --algorithm that map onto registry names. *)
+(* Historical engine spellings that map onto registry names. *)
 let aliases = [ ("v-inc", "inc") ]
 
 let find name =

@@ -14,7 +14,7 @@
 
     Contract every engine must honour (what the differential suite
     checks):
-    - the returned relation satisfies Σ ([Violation.total] = 0), unless
+    - the returned relation satisfies Σ ([Violation.satisfies]), unless
       the report is marked degraded by a deadline cut;
     - output is byte-identical at any job count, and under [--partition]
       when [supports_partition];

@@ -143,25 +143,3 @@ let exit_code = function
   | No_such_session _ | Queue_full _ | Unavailable _ | Breaker_open _
   | Internal _ ->
     Exit.usage
-
-(* ---- warnings ---------------------------------------------------------- *)
-
-type warning = Deprecated_flag of { flag : string; replacement : string }
-
-let warning_code = function Deprecated_flag _ -> "W101"
-
-let warning_to_string = function
-  | Deprecated_flag { flag; replacement } as w ->
-    Printf.sprintf "%s: %s is deprecated and will be removed; use %s"
-      (warning_code w) flag replacement
-
-let warning_to_json = function
-  | Deprecated_flag { flag; replacement } as w ->
-    Json.Obj
-      [
-        ("kind", Json.String "deprecated");
-        ("code", Json.String (warning_code w));
-        ("message", Json.String (warning_to_string w));
-        ("flag", Json.String flag);
-        ("replacement", Json.String replacement);
-      ]

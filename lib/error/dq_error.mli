@@ -87,25 +87,3 @@ module Exit : sig
   val deadline : int
   (** [4]: deadline exceeded with nothing usable to return *)
 end
-
-(** {1 Warnings}
-
-    Non-fatal diagnostics with stable W-codes, rendered into the
-    envelope's [diagnostics] list (and to stderr in text mode) without
-    changing the exit code.  Numbering continues the lint catalog: lint
-    owns W001–W0xx, the CLI surface owns W1xx. *)
-
-type warning =
-  | Deprecated_flag of { flag : string; replacement : string }
-      (** [W101]: a legacy flag spelling (e.g. [-a/--algorithm]) was
-          used; the replacement does the same thing *)
-
-val warning_code : warning -> string
-(** The stable W-code, e.g. ["W101"]. *)
-
-val warning_to_string : warning -> string
-(** One line: ["W101: --algorithm is deprecated ..."]. *)
-
-val warning_to_json : warning -> Dq_obs.Json.t
-(** An object with ["kind"], ["code"] and ["message"] fields (plus
-    warning-specific detail fields). *)

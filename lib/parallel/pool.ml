@@ -200,15 +200,6 @@ let map_reduce ?deadline pool ?chunks ~n ~map ~fold ~init =
     (fun acc r -> match r with Some x -> fold acc x | None -> acc)
     init results
 
-let parallel_for pool ?chunks ~n f =
-  map_reduce pool ?chunks ~n
-    ~map:(fun lo hi ->
-      for i = lo to hi - 1 do
-        f i
-      done)
-    ~fold:(fun () () -> ())
-    ~init:()
-
 (* ---- ?pool-threading conveniences ------------------------------------ *)
 
 let sequential = function

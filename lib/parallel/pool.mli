@@ -2,10 +2,10 @@
 
     The switch carries no [domainslib], so this module provides the small
     slice of it the cleaning algorithms need: a persistent pool of worker
-    domains, a chunked [parallel_for], and a [map_reduce] whose merge
-    order is {e deterministic} — chunk results are folded left-to-right in
-    chunk-index order, never in completion order, so any function built on
-    it returns byte-identical results at any job count.
+    domains and chunked maps whose merge order is {e deterministic} —
+    chunk results come back in chunk-index order, never in completion
+    order, so any function built on them returns byte-identical results
+    at any job count.
 
     A pool with [jobs = 1] spawns no domains and runs everything in the
     calling domain, making the sequential path literally the same code as
@@ -65,30 +65,6 @@ val run : ?deadline:Dq_fault.Deadline.t -> t -> (unit -> unit) array -> unit
     running always completes.  When a fault plan is armed, every task
     is wrapped in the ["pool.task"] fault site. *)
 
-val ranges : chunks:int -> int -> (int * int) list
-(** [ranges ~chunks n] splits [0, n) into at most [chunks] contiguous
-    [(lo, hi)] half-open ranges, in order, sizes differing by at most
-    one.  [n = 0] yields [[]]. *)
-
-val parallel_for : t -> ?chunks:int -> n:int -> (int -> unit) -> unit
-(** Apply [f] to every index of [0, n), chunked across the pool.  [f]
-    must confine its writes to index-private slots (e.g. [a.(i)]).
-    [chunks] defaults to {!jobs}. *)
-
-val map_reduce :
-  ?deadline:Dq_fault.Deadline.t ->
-  t ->
-  ?chunks:int ->
-  n:int ->
-  map:(int -> int -> 'a) ->
-  fold:('acc -> 'a -> 'acc) ->
-  init:'acc ->
-  'acc
-(** [map lo hi] runs once per chunk, in parallel; the chunk results are
-    then folded {e sequentially, in chunk-index order} in the calling
-    domain.  Chunk boundaries are a pure function of [n] and [chunks],
-    so the fold sequence — and hence the result — is deterministic. *)
-
 (** {1 [?pool]-threading conveniences}
 
     Call sites take a [?pool:t] optional argument; [None] (or a 1-job
@@ -110,8 +86,9 @@ val for_chunks :
   n:int ->
   (int -> int -> unit) ->
   unit
-(** Run [f lo hi] over the ranges of [0, n); sequentially as [f 0 n]
-    when no parallelism applies.  An expired [deadline] raises
+(** Run [f lo hi] over [0, n) split into at most [chunks] (default
+    {!jobs}) contiguous ranges, in order, sizes differing by at most one;
+    sequentially as [f 0 n] when no parallelism applies.  An expired [deadline] raises
     [Dq_fault.Deadline.Expired] on both paths. *)
 
 val map_chunks :

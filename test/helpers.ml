@@ -151,3 +151,57 @@ let ok_report = function
 let ok2 = function
   | Ok pair -> pair
   | Error e -> Alcotest.failf "engine error: %s" (Dq_error.to_string e)
+
+(* The naive O(n·|Σ|) detection the compiled clause index replaces: the
+   reference the differential properties compare against. *)
+module Oracle = struct
+  (* Case 2 of Section 3.1 for two tuples against a wildcard-RHS clause
+     (always [false] for a constant-RHS clause — such conflicts surface as
+     case 1). *)
+  let pair_conflict cfd t1 t2 =
+    Pattern.is_wild (Cfd.rhs_pattern cfd)
+    && Cfd.applies_lhs cfd t1 && Cfd.applies_lhs cfd t2
+    && Vkey.equal (Cfd.lhs_key cfd t1) (Cfd.lhs_key cfd t2)
+    &&
+    let v1 = Tuple.get t1 (Cfd.rhs cfd) and v2 = Tuple.get t2 (Cfd.rhs cfd) in
+    (not (Value.is_null v1)) && (not (Value.is_null v2)) && not (Value.equal v1 v2)
+
+  (* [vio(t)]: the violations [t] incurs against the relation.  The tuple
+     need not belong to it. *)
+  let vio_tuple rel sigma t =
+    Array.fold_left
+      (fun vio cfd ->
+        if Violation.violates_constant cfd t then vio + 1
+        else
+          Relation.fold
+            (fun vio t' ->
+              if Tuple.tid t' <> Tuple.tid t && pair_conflict cfd t t' then
+                vio + 1
+              else vio)
+            vio rel)
+      0 sigma
+
+  (* The RHS value [Lhs_index] should force on [t] for [cfd]: [tp[A]] for
+     a constant clause, else the first non-null one held by a tuple of
+     [rel] (in relation order) matching the pattern with the same LHS
+     key. *)
+  let expected_rhs rel cfd t =
+    if not (Cfd.applies_lhs cfd t) then None
+    else
+      match Cfd.rhs_pattern cfd with
+      | Pattern.Const a -> Some a
+      | Pattern.Wild ->
+        Relation.fold
+          (fun found t' ->
+            match found with
+            | Some _ -> found
+            | None ->
+              let v = Tuple.get t' (Cfd.rhs cfd) in
+              if
+                Cfd.applies_lhs cfd t'
+                && Vkey.equal (Cfd.lhs_key cfd t') (Cfd.lhs_key cfd t)
+                && not (Value.is_null v)
+              then Some v
+              else None)
+          None rel
+end

@@ -128,6 +128,27 @@ let test_no_dependency_graph_variant () =
   let repr, _ = Helpers.ok (Batch_repair.repair ~use_dependency_graph:false db sigma) in
   check_clean repr sigma
 
+(* DATAQUAL_PARANOID re-checks, after every resolution step, that each live
+   pair conflict is queued, and logs an error for any that is not. *)
+let test_paranoid_invariant () =
+  Unix.putenv "DATAQUAL_PARANOID" "1";
+  Fun.protect ~finally:(fun () -> Unix.putenv "DATAQUAL_PARANOID" "")
+  @@ fun () ->
+  let errors = Logs.err_count () in
+  let repair rel sigma = check_clean (fst (Helpers.ok (Batch_repair.repair rel sigma))) sigma in
+  repair (fig1_db ()) (fig1_sigma ());
+  let ds =
+    Dq_workload.Datagen.generate
+      (Dq_workload.Datagen.default_params ~n_tuples:150 ~seed:5 ())
+  in
+  let noise =
+    Dq_workload.Noise.inject
+      (Dq_workload.Noise.default_params ~rate:0.1 ~seed:6 ())
+      ds
+  in
+  repair noise.Dq_workload.Noise.dirty ds.Dq_workload.Datagen.sigma;
+  Alcotest.(check int) "no invariant error logged" errors (Logs.err_count ())
+
 let suite =
   [
     Alcotest.test_case "fig1 repair" `Quick test_fig1_repair;
@@ -139,4 +160,6 @@ let suite =
     Alcotest.test_case "LHS escalation" `Quick test_lhs_escalation;
     Alcotest.test_case "works without dependency graph" `Quick
       test_no_dependency_graph_variant;
+    Alcotest.test_case "paranoid invariant check stays silent" `Quick
+      test_paranoid_invariant;
   ]

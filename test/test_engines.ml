@@ -68,7 +68,7 @@ let prop_all_engines_satisfy =
           | Error _ -> true (* rejected up front, nothing to check *)
           | Ok () ->
             let repaired = repair_of name rel sigma in
-            Violation.total repaired sigma = 0)
+            Violation.satisfies repaired sigma)
         all_names)
 
 let prop_fd_fragment_differential =
@@ -84,7 +84,7 @@ let prop_fd_fragment_differential =
           | Error reason ->
             QCheck.Test.fail_reportf "%s rejected a pure-FD acyclic Σ: %s"
               name reason);
-          Violation.total (repair_of name rel sigma) sigma = 0)
+          Violation.satisfies (repair_of name rel sigma) sigma)
         all_names)
 
 let prop_opt_fd_cost_le_batch =

@@ -106,19 +106,6 @@ let test_add_tuple_updates_index () =
   Alcotest.(check bool) "conflict detected" true
     (Lhs_index.violates idx phi3_name probe)
 
-let test_vio_subset () =
-  let db, sigma = clean_db_and_sigma () in
-  let idx = Lhs_index.build sigma db in
-  let t =
-    fresh [| "a23"; "Wrong"; "99.99"; "215"; "8983490"; "Walnut"; "PHI"; "PA"; "19014" |]
-  in
-  let phi3_clauses =
-    Array.to_list sigma |> List.filter (fun c -> String.equal (Cfd.name c) "phi3")
-  in
-  let sub = Lhs_index.vio_subset idx phi3_clauses t in
-  Alcotest.(check bool) "phi3 violations found" true (sub >= 2);
-  Alcotest.(check int) "subset of total" (Lhs_index.vio idx t) sub
-
 let suite =
   [
     Alcotest.test_case "constant clause lookup" `Quick test_expected_rhs_constant_clause;
@@ -126,5 +113,4 @@ let suite =
     Alcotest.test_case "vio counting" `Quick test_vio_counts_clauses;
     Alcotest.test_case "nulls resolve" `Quick test_nulls_resolve;
     Alcotest.test_case "add_tuple updates" `Quick test_add_tuple_updates_index;
-    Alcotest.test_case "vio_subset" `Quick test_vio_subset;
   ]

@@ -19,10 +19,15 @@ let job_counts = [ 1; 2; 4; 7 ]
 
 (* ---- pool unit tests -------------------------------------------------- *)
 
+(* The (lo, hi) ranges [map_chunks] hands out, in chunk-index order. *)
+let chunk_ranges pool ~chunks n =
+  Pool.map_chunks ~chunks (Some pool) ~n (fun lo hi -> (lo, hi))
+
 let test_ranges () =
+  Pool.with_pool ~jobs:2 @@ fun pool ->
   List.iter
     (fun (chunks, n) ->
-      let rs = Pool.ranges ~chunks n in
+      let rs = chunk_ranges pool ~chunks n in
       (* Contiguous cover of [0, n) in order. *)
       let expected_lo = ref 0 in
       List.iter
@@ -52,35 +57,41 @@ let test_jobs_validation () =
     (Invalid_argument "Pool.create: jobs must be >= 1 (got -3)") (fun () ->
       ignore (Pool.create ~jobs:(-3)))
 
-let test_parallel_for () =
+let test_for_chunks () =
   List.iter
     (fun jobs ->
       Pool.with_pool ~jobs @@ fun pool ->
       let n = 1_000 in
       let hits = Array.make n 0 in
-      Pool.parallel_for pool ~n (fun i -> hits.(i) <- hits.(i) + 1);
+      Pool.for_chunks (Some pool) ~n (fun lo hi ->
+          for i = lo to hi - 1 do
+            hits.(i) <- hits.(i) + 1
+          done);
       Alcotest.(check bool)
         (Printf.sprintf "every index visited exactly once (jobs=%d)" jobs)
         true
         (Array.for_all (fun h -> h = 1) hits))
     job_counts
 
-let test_map_reduce_order () =
-  (* The fold must see chunk results in chunk-index order at any job
-     count, so collecting (lo, hi) pairs reproduces [ranges] exactly. *)
+let test_map_chunks_order () =
+  (* Chunk results come back in chunk-index order at any job count, never
+     in completion order: uneven per-chunk work must not reorder them. *)
   List.iter
     (fun jobs ->
       Pool.with_pool ~jobs @@ fun pool ->
       let n = 103 in
       let seen =
-        Pool.map_reduce pool ~chunks:jobs ~n
-          ~map:(fun lo hi -> [ (lo, hi) ])
-          ~fold:(fun acc r -> acc @ r)
-          ~init:[]
+        Pool.map_chunks ~chunks:7 (Some pool) ~n (fun lo hi ->
+            if lo = 0 then Unix.sleepf 0.01;
+            (lo, hi))
+      in
+      let expected =
+        if jobs = 1 then [ (0, n) ]
+        else List.init 7 (fun c -> (c * n / 7, (c + 1) * n / 7))
       in
       Alcotest.(check (list (pair int int)))
         (Printf.sprintf "chunk-index order (jobs=%d)" jobs)
-        (Pool.ranges ~chunks:jobs n) seen)
+        expected seen)
     job_counts
 
 let test_run_reraises () =
@@ -90,14 +101,13 @@ let test_run_reraises () =
         (Array.init 8 (fun i -> fun () -> if i = 5 then raise Exit)));
   (* The pool survives a failed batch. *)
   let total =
-    Pool.map_reduce pool ~chunks:4 ~n:100
-      ~map:(fun lo hi ->
+    Pool.map_chunks ~chunks:4 (Some pool) ~n:100 (fun lo hi ->
         let s = ref 0 in
         for i = lo to hi - 1 do
           s := !s + i
         done;
         !s)
-      ~fold:( + ) ~init:0
+    |> List.fold_left ( + ) 0
   in
   Alcotest.(check int) "pool usable after exception" 4950 total
 
@@ -132,10 +142,6 @@ let prop_vio_counts =
   equivalence_prop "vio_counts: parallel = sequential" (fun pool rel sigma ->
       counts_key (Violation.vio_counts ~pool rel sigma)
       = counts_key (Violation.vio_counts rel sigma))
-
-let prop_total =
-  equivalence_prop "total: parallel = sequential" (fun pool rel sigma ->
-      Violation.total ~pool rel sigma = Violation.total rel sigma)
 
 let prop_satisfies =
   equivalence_prop "satisfies: parallel = sequential" (fun pool rel sigma ->
@@ -210,10 +216,10 @@ let test_oversubscription () =
   Alcotest.(check bool)
     "find_all with jobs >> tuples" true
     (violations_key (Violation.find_all ~pool rel sigma) = expected);
-  Alcotest.(check int)
-    "total with jobs >> tuples"
-    (Violation.total rel sigma)
-    (Violation.total ~pool rel sigma);
+  Alcotest.(check bool)
+    "vio_counts with jobs >> tuples" true
+    (counts_key (Violation.vio_counts ~pool rel sigma)
+    = counts_key (Violation.vio_counts rel sigma));
   let repair, _ = Helpers.ok (Batch_repair.repair rel sigma) in
   let repair', _ = Helpers.ok (Batch_repair.repair ~pool rel sigma) in
   Alcotest.(check int) "repair with jobs >> tuples" 0
@@ -226,7 +232,8 @@ let test_empty_relation () =
   Alcotest.(check int)
     "no violations in the empty relation" 0
     (List.length (Violation.find_all ~pool rel sigma));
-  Alcotest.(check int) "vio(empty) = 0" 0 (Violation.total ~pool rel sigma);
+  Alcotest.(check int) "vio(empty) = 0" 0
+    (Hashtbl.length (Violation.vio_counts ~pool rel sigma));
   Alcotest.(check bool)
     "empty relation satisfies" true
     (Violation.satisfies ~pool rel sigma)
@@ -246,15 +253,13 @@ let suite =
   [
     Alcotest.test_case "ranges partition correctly" `Quick test_ranges;
     Alcotest.test_case "job count validation" `Quick test_jobs_validation;
-    Alcotest.test_case "parallel_for covers every index" `Quick
-      test_parallel_for;
-    Alcotest.test_case "map_reduce folds in chunk order" `Quick
-      test_map_reduce_order;
+    Alcotest.test_case "for_chunks covers every index" `Quick test_for_chunks;
+    Alcotest.test_case "map_chunks returns chunk-index order" `Quick
+      test_map_chunks_order;
     Alcotest.test_case "run re-raises task exceptions" `Quick test_run_reraises;
     Alcotest.test_case "shutdown is idempotent" `Quick test_shutdown_idempotent;
     QCheck_alcotest.to_alcotest prop_find_all;
     QCheck_alcotest.to_alcotest prop_vio_counts;
-    QCheck_alcotest.to_alcotest prop_total;
     QCheck_alcotest.to_alcotest prop_satisfies;
     Alcotest.test_case "repairs identical at any job count" `Quick
       test_repair_determinism;

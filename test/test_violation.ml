@@ -2,6 +2,8 @@ open Dq_relation
 open Dq_cfd
 open Helpers
 
+let total counts = Hashtbl.fold (fun _ n acc -> acc + n) counts 0
+
 let test_fig1_detection () =
   let db = fig1_db () in
   let sigma = fig1_sigma () in
@@ -19,7 +21,7 @@ let test_vio_counts_match_paper () =
   Alcotest.(check (option int)) "vio(t3)" (Some 4) (Hashtbl.find_opt counts 2);
   Alcotest.(check (option int)) "vio(t4)" (Some 4) (Hashtbl.find_opt counts 3);
   Alcotest.(check (option int)) "t1 clean" None (Hashtbl.find_opt counts 0);
-  Alcotest.(check int) "total" 8 (Violation.total db sigma)
+  Alcotest.(check int) "total" 8 (total counts)
 
 let test_vio_tuple_agrees_with_counts () =
   let db = fig1_db () in
@@ -33,7 +35,7 @@ let test_vio_tuple_agrees_with_counts () =
       Alcotest.(check int)
         (Printf.sprintf "vio_tuple tid %d" (Tuple.tid t))
         expected
-        (Violation.vio_tuple db sigma t))
+        (Oracle.vio_tuple db sigma t))
     db
 
 let test_single_tuple_can_violate_cfd () =
@@ -49,7 +51,8 @@ let test_single_tuple_can_violate_cfd () =
           ~rhs:("B", Pattern.const (Value.string "right"));
       ]
   in
-  Alcotest.(check int) "one violation from one tuple" 1 (Violation.total rel sigma)
+  Alcotest.(check int) "one violation from one tuple" 1
+    (total (Violation.vio_counts rel sigma))
 
 let test_pair_violation_counting () =
   let schema = Schema.make ~name:"r" [ "A"; "B" ] in
@@ -68,7 +71,7 @@ let test_pair_violation_counting () =
   Alcotest.(check (option int)) "first 1" (Some 1) (Hashtbl.find_opt counts 0);
   Alcotest.(check (option int)) "second 1" (Some 1) (Hashtbl.find_opt counts 1);
   Alcotest.(check (option int)) "the 2" (Some 2) (Hashtbl.find_opt counts 2);
-  Alcotest.(check int) "total 4" 4 (Violation.total rel sigma)
+  Alcotest.(check int) "total 4" 4 (total counts)
 
 let test_null_resolves_everything () =
   let schema = Schema.make ~name:"r" [ "A"; "B" ] in
@@ -107,14 +110,162 @@ let test_find_all_covers_all_violators () =
     violations
 
 let test_pair_conflict_symmetric () =
-  let db = fig1_db () in
-  let sigma = fig1_sigma () in
-  let t1 = Relation.find_exn db 0 and t2 = Relation.find_exn db 1 in
-  Array.iter
-    (fun cfd ->
-      Alcotest.(check bool) "symmetric" (Violation.pair_conflict cfd t1 t2)
-        (Violation.pair_conflict cfd t2 t1))
-    sigma
+  (* Every reported pair conflicts in both directions. *)
+  let schema = Schema.make ~name:"r" [ "A"; "B" ] in
+  let rel = Relation.create schema in
+  List.iter
+    (fun (a, b) -> ignore (Relation.insert rel [| Value.string a; Value.string b |]))
+    [ ("x", "1"); ("x", "2"); ("x", "1"); ("y", "3") ];
+  let sigma =
+    Cfd.number (Cfd.normalize schema (Cfd.Tableau.fd ~name:"fd" ~lhs:[ "A" ] ~rhs:[ "B" ]))
+  in
+  let pairs = Violation.find_all rel sigma in
+  Alcotest.(check int) "one pair per involved tuple" 3 (List.length pairs);
+  List.iter
+    (function
+      | Violation.Pair { tid1; tid2; cfd } ->
+        let t1 = Relation.find_exn rel tid1 and t2 = Relation.find_exn rel tid2 in
+        Alcotest.(check bool) "conflict" true (Oracle.pair_conflict cfd t1 t2);
+        Alcotest.(check bool) "symmetric" true (Oracle.pair_conflict cfd t2 t1)
+      | Violation.Single _ -> Alcotest.fail "no constant clause")
+    pairs
+
+(* ---- differential: the compiled clause index against the naive oracle -- *)
+
+(* Random tableaux in which several pattern rows share an embedded FD, each
+   row listing X in its own order (the RHS may sit in X too), over
+   relations with nulls in X and A. *)
+module Diff = struct
+  open QCheck.Gen
+
+  let cell = frequency [ (1, return Value.null); (5, Gen.value_gen) ]
+
+  let relation_gen =
+    map
+      (fun rows ->
+        let rel = Relation.create Gen.schema in
+        List.iter (fun values -> ignore (Relation.insert rel values)) rows;
+        rel)
+      (list_size (0 -- 25) (array_size (return (List.length Gen.attrs)) cell))
+
+  let pattern =
+    frequency
+      [ (2, return Pattern.Wild); (1, map (fun v -> Pattern.const v) Gen.value_gen) ]
+
+  let fd_rows =
+    let* size = 1 -- 3 in
+    let* perm = shuffle_l Gen.attrs in
+    let x = List.filteri (fun i _ -> i < size) perm in
+    let* a = oneofl Gen.attrs in
+    let* n_rows = 1 -- 4 in
+    list_repeat n_rows
+      (let* order = shuffle_l x in
+       let* pats = flatten_l (List.map (fun _ -> pattern) order) in
+       let* rhs_pat = pattern in
+       return (Cfd.make Gen.schema ~lhs:(List.combine order pats) ~rhs:(a, rhs_pat)))
+
+  let sigma_gen =
+    let* fds = list_size (1 -- 3) fd_rows in
+    map Cfd.number (shuffle_l (List.concat fds))
+
+  let instance = QCheck.make (pair relation_gen sigma_gen)
+end
+
+(* find_all by definition: singles per tuple in relation order, then per
+   wildcard clause in Σ order each conflicting tuple against the first
+   tuple in relation order it conflicts with. *)
+let naive_find_all rel sigma =
+  let tuples = Array.to_list (Relation.tuples rel) in
+  let singles =
+    List.concat_map
+      (fun t ->
+        Array.to_list sigma
+        |> List.filter (fun cfd -> Violation.violates_constant cfd t)
+        |> List.map (fun cfd -> (Tuple.tid t, Cfd.id cfd)))
+      tuples
+  in
+  let pairs =
+    Array.to_list sigma
+    |> List.concat_map (fun cfd ->
+           List.filter_map
+             (fun t ->
+               List.find_opt (Oracle.pair_conflict cfd t) tuples
+               |> Option.map (fun w -> (Cfd.id cfd, Tuple.tid t, Tuple.tid w)))
+             tuples)
+  in
+  (singles, pairs)
+
+(* The oracle's view of an Lhs_index check: the clauses whose expected
+   RHS value the tuple contradicts. *)
+let oracle_lhs_vio rel sigma t =
+  Array.fold_left
+    (fun n cfd ->
+      match Oracle.expected_rhs rel cfd t with
+      | Some e ->
+        let v = Tuple.get t (Cfd.rhs cfd) in
+        if (not (Value.is_null v)) && not (Value.equal v e) then n + 1 else n
+      | None -> n)
+    0 sigma
+
+let agrees_with_oracle pool rel sigma =
+  let tuples = Array.to_list (Relation.tuples rel) in
+  let vio t = Oracle.vio_tuple rel sigma t in
+  let counts = Violation.vio_counts ~pool rel sigma in
+  let counts_ok =
+    List.for_all
+      (fun t ->
+        Option.value ~default:0 (Hashtbl.find_opt counts (Tuple.tid t)) = vio t)
+      tuples
+  in
+  let found = Violation.find_all ~pool rel sigma in
+  let singles =
+    List.filter_map
+      (function
+        | Violation.Single { tid; cfd } -> Some (tid, Cfd.id cfd)
+        | Pair _ -> None)
+      found
+  and pairs =
+    List.filter_map
+      (function
+        | Violation.Pair { tid1; tid2; cfd } -> Some (Cfd.id cfd, tid1, tid2)
+        | Single _ -> None)
+      found
+  in
+  let naive_singles, naive_pairs = naive_find_all rel sigma in
+  let find_all_ok =
+    (* singles first, in relation order; then pairs exactly as defined *)
+    List.map Violation.tids found
+    = List.map (fun (tid, _) -> [ tid ]) singles
+      @ List.map (fun (_, t1, t2) -> [ t1; t2 ]) pairs
+    && List.map fst singles = List.map fst naive_singles
+    && List.sort compare singles = naive_singles
+    && pairs = naive_pairs
+  in
+  let idx = Lhs_index.build sigma rel in
+  let lhs_index_ok =
+    List.for_all
+      (fun t ->
+        Array.for_all
+          (fun cfd ->
+            Option.equal Value.equal
+              (Lhs_index.expected_rhs idx cfd t)
+              (Oracle.expected_rhs rel cfd t))
+          sigma
+        && Lhs_index.vio idx t = oracle_lhs_vio rel sigma t)
+      tuples
+  in
+  counts_ok
+  && Violation.satisfies ~pool rel sigma = List.for_all (fun t -> vio t = 0) tuples
+  && find_all_ok && lhs_index_ok
+
+let prop_differential =
+  QCheck.Test.make ~name:"compiled index = naive oracle (jobs 1 and 4)"
+    ~count:200 Diff.instance (fun (rel, sigma) ->
+      List.for_all
+        (fun jobs ->
+          Dq_parallel.Pool.with_pool ~jobs (fun pool ->
+              agrees_with_oracle pool rel sigma))
+        [ 1; 4 ])
 
 let suite =
   [
@@ -129,4 +280,5 @@ let suite =
     Alcotest.test_case "find_all covers violators" `Quick
       test_find_all_covers_all_violators;
     Alcotest.test_case "pair_conflict symmetric" `Quick test_pair_conflict_symmetric;
+    QCheck_alcotest.to_alcotest prop_differential;
   ]
