@@ -1288,18 +1288,28 @@ let section_metrics path doc =
       path;
     exit 2
 
-(* Seconds metrics get a small absolute slack on top of the relative
-   tolerance so micro-scale timings (a few ms) don't flag on scheduler
-   noise alone. *)
+(* Lower-is-better metrics get a small absolute slack on top of the
+   relative tolerance so micro-scale timings (a few ms) don't flag on
+   scheduler noise alone. *)
 let time_slack_s = 0.005
 
 type verdict = Regressed | Improved | Unchanged
 
+(* Seconds carry an [s] name segment ([batch.repair_s], [request_s_off]);
+   a name whose last segment is [cost] or [cells] counts work done. *)
+let lower_is_better name =
+  let segments =
+    List.concat_map (String.split_on_char '.') (String.split_on_char '_' name)
+  in
+  List.mem "s" segments
+  ||
+  match List.rev segments with
+  | ("cost" | "cells") :: _ -> true
+  | _ -> false
+
 let judge name ~old_v ~new_v =
   let tol = !tolerance /. 100. in
-  let lower_is_better =
-    String.length name >= 2 && String.sub name (String.length name - 2) 2 = "_s"
-  in
+  let lower_is_better = lower_is_better name in
   let rel =
     if Float.abs old_v > 1e-12 then (new_v -. old_v) /. Float.abs old_v
     else if Float.abs new_v > 1e-12 then Float.infinity

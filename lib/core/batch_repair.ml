@@ -54,28 +54,30 @@ type action =
 
 type plan = { cost : float; action : action }
 
+(* Every decision below reads hash tables only through order-free
+   queries — membership, the smallest conflicting tid, value-sorted weight
+   lists, sorted offer and instantiation orders — never through iteration
+   order.  A run resumed from a checkpoint rebuilds its tables with a
+   different insertion history, so this is what lets it replay the
+   uninterrupted run byte for byte, and it makes [~checkpoint] change
+   nothing in the output. *)
 type state = {
   rel : Relation.t; (* working copy; values untouched until write-back *)
-  canonical : bool;
-  (* Checkpoint/resume mode.  A resumed run rebuilds its hash tables from
-     a snapshot and so cannot share their iteration history with the run
-     that wrote it; in canonical mode every decision that would otherwise
-     depend on hash-table order (offer order, partner choice, float-sum
-     order, instantiation order) is routed through a sorted, history-free
-     path instead.  Off by default: the default mode stays byte-identical
-     to what it produced before checkpointing existed. *)
   sigma : Cfd.t array;
   lhs_of : int array array; (* cfd id -> LHS positions *)
   lhs_pats_of : Pattern.t array array;
   eq : Eqclass.t;
   arity : int;
-  buckets : (int, unit) Hashtbl.t Vkey.Table.t array; (* wild cfds only *)
-  bucket_key : (int, Vkey.t) Hashtbl.t array; (* tid -> its current key *)
+  buckets : (int, unit) Hashtbl.t Vkey.Table.t array;
+  (* embedded FD -> effective X (ascending positions, no null) -> tids.
+     Tuples that agree on X all match a row's tp[X] or none do, so a
+     clause's group is its bucket once [eff_matches_lhs] holds. *)
+  bucket_key : (int, Vkey.t) Hashtbl.t array; (* embedded FD: tid -> its key *)
   index : Clause_index.t;
   (* Σ's anchored clause lookup, probed with effective values: it prunes
      the (potentially thousands of) pattern rows to the handful a tuple
-     can match. *)
-  attr_lhs_wild : int list array; (* attr -> wildcard-RHS clauses with attr in LHS *)
+     can match.  Also numbers the embedded FDs the buckets are kept by. *)
+  attr_fds : int list array; (* attr -> embedded FDs with attr in X *)
   strata : int array; (* cfd id -> dependency-graph stratum *)
   queue : (int * int) Heap.t;
   (* (cfd id, tid) keyed by plan cost, ties broken by (cfd id, tid).  The
@@ -87,10 +89,11 @@ type state = {
      pairs of one group, and greedy repair is order-sensitive on ties. *)
   enqueued : (int * int, float) Hashtbl.t; (* pair -> its queued priority *)
   findv : (int * int, int list Vkey.Table.t) Hashtbl.t; (* lazy FINDV indices *)
-  class_weights : (int, (Value.t, float) Hashtbl.t) Hashtbl.t;
-  (* class root -> aggregate weight of members per distinct original value;
-     built lazily, folded together on union.  Lets class costs and medoids
-     be computed in O(distinct values) instead of O(members). *)
+  class_weights : (int, (Value.t * float) list) Hashtbl.t;
+  (* class root -> aggregate weight of members per distinct original value,
+     sorted by value; built lazily from the member list and dropped on
+     union.  Lets class costs and medoids be computed in O(distinct values)
+     instead of O(members). *)
   mutable merges : int;
   mutable rhs_fixes : int;
   mutable lhs_fixes : int;
@@ -122,8 +125,6 @@ let eff_matches_lhs st cid tid =
   in
   loop 0
 
-let eff_key st cid tid = Array.map (eff st tid) st.lhs_of.(cid)
-
 (* Offer a (clause, tuple) pair to the queue.  Fresh offers enter
    optimistically (near-zero priority, biased by the clause's dependency
    stratum): the pop loop verifies, computes the true plan cost and either
@@ -151,32 +152,42 @@ let iter_touching st eff_at attr f =
 let mark_dirty st tid attr =
   iter_touching st (eff st tid) attr (fun cid -> offer st cid tid)
 
-(* Buckets: group tuples of each wildcard-RHS clause by their effective LHS
-   key, maintained incrementally as targets change. *)
+(* Buckets: group tuples by their effective X per embedded FD, maintained
+   incrementally as targets change.  A tuple with a null in X matches no
+   pattern row, so it is filed nowhere. *)
 
-let bucket_remove st cid tid =
-  match Hashtbl.find_opt st.bucket_key.(cid) tid with
+let bucket_remove st f tid =
+  match Hashtbl.find_opt st.bucket_key.(f) tid with
   | None -> ()
   | Some key -> (
-    Hashtbl.remove st.bucket_key.(cid) tid;
-    match Vkey.Table.find_opt st.buckets.(cid) key with
+    Hashtbl.remove st.bucket_key.(f) tid;
+    match Vkey.Table.find_opt st.buckets.(f) key with
     | Some set -> Hashtbl.remove set tid
     | None -> ())
 
-let bucket_insert st cid tid =
-  if eff_matches_lhs st cid tid then begin
-    let key = eff_key st cid tid in
-    Hashtbl.replace st.bucket_key.(cid) tid key;
+let bucket_insert st f tid =
+  let key = Clause_index.fd_key st.index f (eff st tid) in
+  if not (Array.exists Value.is_null key) then begin
+    Hashtbl.replace st.bucket_key.(f) tid key;
     let set =
-      match Vkey.Table.find_opt st.buckets.(cid) key with
+      match Vkey.Table.find_opt st.buckets.(f) key with
       | Some set -> set
       | None ->
         let set = Hashtbl.create 4 in
-        Vkey.Table.add st.buckets.(cid) key set;
+        Vkey.Table.add st.buckets.(f) key set;
         set
     in
     Hashtbl.replace set tid ()
   end
+
+(* The group of [tid] under wildcard clause [cid]: its bucket, provided the
+   tuple currently matches the clause's pattern row. *)
+let group_of st cid tid =
+  let f = Clause_index.fd st.index cid in
+  match Hashtbl.find_opt st.bucket_key.(f) tid with
+  | Some key when eff_matches_lhs st cid tid ->
+    Vkey.Table.find_opt st.buckets.(f) key
+  | _ -> None
 
 (* Run a mutation of the equivalence classes containing [cells], keeping
    buckets and dirty sets in sync.  Only members of classes whose
@@ -208,7 +219,7 @@ let with_change st cells mutate =
     classes;
   (* Every cell whose effective value changed gets a trail entry.  The
      entries of one mutation are sorted by (tid, attr) so the trail is a
-     canonical function of the decision sequence, not of hash-table
+     pure function of the decision sequence, not of hash-table
      iteration order. *)
   let schema = Relation.schema st.rel in
   List.iter
@@ -232,38 +243,30 @@ let with_change st cells mutate =
   Hashtbl.iter
     (fun _ (tid, attr) ->
       List.iter
-        (fun cid -> Hashtbl.replace reindex (cid, tid) ())
-        st.attr_lhs_wild.(attr))
+        (fun f -> Hashtbl.replace reindex (f, tid) ())
+        st.attr_fds.(attr))
     changed;
   (* The values already changed, but stored bucket keys record where each
-     tuple was filed, so removal by the recorded key still works. *)
-  if st.canonical then begin
-    (* Sorted visit order: the re-offers this triggers land in the queue
-       in an order that is a pure function of the decision sequence, so a
-       resumed run (whose hash tables have a different history) replays
-       them identically. *)
-    let reindex =
-      List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) reindex [])
-    in
-    let changed =
-      List.sort compare (Hashtbl.fold (fun _ ta acc -> ta :: acc) changed [])
-    in
-    List.iter (fun (cid, tid) -> bucket_remove st cid tid) reindex;
-    List.iter (fun (cid, tid) -> bucket_insert st cid tid) reindex;
-    List.iter (fun (tid, attr) -> mark_dirty st tid attr) changed
-  end
-  else begin
-    Hashtbl.iter (fun (cid, tid) () -> bucket_remove st cid tid) reindex;
-    Hashtbl.iter (fun (cid, tid) () -> bucket_insert st cid tid) reindex;
-    Hashtbl.iter (fun _ (tid, attr) -> mark_dirty st tid attr) changed
-  end
+     tuple was filed, so removal by the recorded key still works.  Sorted
+     visit order: the re-offers this triggers land in the queue in an order
+     that is a pure function of the decision sequence. *)
+  let reindex =
+    List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) reindex [])
+  in
+  let changed =
+    List.sort compare (Hashtbl.fold (fun _ ta acc -> ta :: acc) changed [])
+  in
+  List.iter (fun (f, tid) -> bucket_remove st f tid) reindex;
+  List.iter (fun (f, tid) -> bucket_insert st f tid) reindex;
+  List.iter (fun (tid, attr) -> mark_dirty st tid attr) changed
 
-(* Aggregate weight of the class's members per distinct original value;
-   cached per root and folded on union. *)
+(* Aggregate weight of the class's members per distinct original value,
+   sorted by value: the one order for float sums and candidate scans.
+   Cached per root; weights accumulate in member order. *)
 let class_weights st c =
   let root = Eqclass.find st.eq c in
   match Hashtbl.find_opt st.class_weights root with
-  | Some table -> table
+  | Some pairs -> pairs
   | None ->
     let table = Hashtbl.create 8 in
     List.iter
@@ -277,78 +280,38 @@ let class_weights st c =
           | None -> Hashtbl.add table v w
         end)
       (Eqclass.members st.eq root);
-    Hashtbl.add st.class_weights root table;
-    table
-
-(* Value-sorted (value, weight) pairs of a weight table: the canonical
-   iteration order for float sums and candidate scans, independent of the
-   table's insertion history. *)
-let weight_pairs_sorted table =
-  Hashtbl.fold (fun v w acc -> (v, w) :: acc) table []
-  |> List.sort (fun (a, _) (b, _) -> Value.compare a b)
-
-(* Cost(t, B, v): weighted cost of moving every member of the class to [v],
-   measured from the members' original values (Section 4.2).  Computed from
-   the per-value weight table: sum_u W_u * sim(u, v). *)
-let class_cost st c v =
-  let table = class_weights st c in
-  if st.canonical then
-    List.fold_left
-      (fun acc (u, w_u) -> acc +. (w_u *. Cost.similarity u v))
-      0. (weight_pairs_sorted table)
-  else
-    Hashtbl.fold
-      (fun u w_u acc -> acc +. (w_u *. Cost.similarity u v))
-      table 0.
-
-(* The weighted-medoid original value over one or two classes' weight
-   tables: the value the union's instantiation would pick. *)
-let medoid_of_tables ~canonical tables =
-  if canonical then begin
     let pairs =
-      List.concat_map weight_pairs_sorted tables
+      Hashtbl.fold (fun v w acc -> (v, w) :: acc) table []
       |> List.sort (fun (a, _) (b, _) -> Value.compare a b)
     in
-    let cost v =
-      List.fold_left
-        (fun acc (u, w_u) -> acc +. (w_u *. Cost.similarity u v))
-        0. pairs
-    in
-    let best = ref None in
-    List.iter
-      (fun (v, _) ->
-        let c = cost v in
-        match !best with
-        | Some (bv, bc) when bc < c || (bc = c && Value.compare bv v <= 0) ->
-          ()
-        | _ -> best := Some (v, c))
-      pairs;
-    Option.map fst !best
-  end
-  else begin
-    let cost v =
-      List.fold_left
-        (fun acc table ->
-          Hashtbl.fold
-            (fun u w_u acc -> acc +. (w_u *. Cost.similarity u v))
-            table acc)
-        0. tables
-    in
-    let best = ref None in
-    List.iter
-      (fun table ->
-        Hashtbl.iter
-          (fun v _ ->
-            let c = cost v in
-            match !best with
-            | Some (bv, bc)
-              when bc < c || (bc = c && Value.compare bv v <= 0) ->
-              ()
-            | _ -> best := Some (v, c))
-          table)
-      tables;
-    Option.map fst !best
-  end
+    Hashtbl.add st.class_weights root pairs;
+    pairs
+
+(* sum_u W_u * sim(u, v) over a class's weight pairs *)
+let weighted_cost pairs v =
+  List.fold_left
+    (fun acc (u, w_u) -> acc +. (w_u *. Cost.similarity u v))
+    0. pairs
+
+(* Cost(t, B, v): weighted cost of moving every member of the class to [v],
+   measured from the members' original values (Section 4.2). *)
+let class_cost st c v = weighted_cost (class_weights st c) v
+
+(* The weighted-medoid value of a class: the member original value that
+   minimises the class's change cost — what instantiation will pick; the
+   smallest such value on a tie.  [None] when every member was originally
+   null. *)
+let best_constant st root =
+  let pairs = class_weights st root in
+  let best = ref None in
+  List.iter
+    (fun (v, _) ->
+      let c = weighted_cost pairs v in
+      match !best with
+      | Some (_, bc) when bc <= c -> ()
+      | _ -> best := Some (v, c))
+    pairs;
+  Option.map fst !best
 
 (* FINDV's relation-backed value source: tuples agreeing with [t] on
    X ∪ {A} \ {B}.  The index is built once per (clause, LHS position) from
@@ -400,6 +363,12 @@ let findv_candidates st cid lhs_pos tid =
           else v :: acc)
       [] tids
 
+(* Whether [tid]'s effective value at [rhs] is non-null and differs from
+   [v]: the two tuples conflict on a wildcard clause they share a group of. *)
+let rhs_conflicts st rhs v tid =
+  let v' = eff st tid rhs in
+  (not (Value.is_null v')) && not (Value.equal v v')
+
 (* Estimate how many clause violations tuple [tid] would incur if the
    effective value of [attr] became [v] (everything else unchanged).  Used
    to score candidate fixes: a fix that is locally cheap but knocks the
@@ -428,18 +397,17 @@ let vio_estimate st tid attr v =
           if (not (Value.is_null rv)) && not (Value.equal rv a) then incr count
         | Pattern.Wild ->
           if not (Value.is_null rv) then begin
-            let key = Array.map (eff' tid) lhs in
-            match Vkey.Table.find_opt st.buckets.(cid) key with
+            let f = Clause_index.fd st.index cid in
+            let key = Clause_index.fd_key st.index f (eff' tid) in
+            match Vkey.Table.find_opt st.buckets.(f) key with
             | None -> ()
             | Some set ->
               let conflicting =
                 try
                   Hashtbl.iter
                     (fun tid' () ->
-                      if tid' <> tid then
-                        let rv' = eff' tid' (Cfd.rhs cfd) in
-                        if (not (Value.is_null rv')) && not (Value.equal rv rv')
-                        then raise Exit)
+                      if tid' <> tid && rhs_conflicts st (Cfd.rhs cfd) rv tid'
+                      then raise Exit)
                     set;
                   false
                 with Exit -> true
@@ -539,51 +507,23 @@ let verify_and_plan st cid tid =
             lhs_fix_plan st cid tid ~resolves
       end
     | Pattern.Wild -> (
-      match Hashtbl.find_opt st.bucket_key.(cid) tid with
+      match group_of st cid tid with
       | None -> None (* effective LHS no longer matches the pattern *)
-      | Some key -> (
+      | Some set -> (
         let v = eff st tid rhs in
         if Value.is_null v then None
         else
+          (* smallest conflicting tid: a pure function of the group's
+             contents, replayable after a resume *)
           let partner =
-            match Vkey.Table.find_opt st.buckets.(cid) key with
-            | None -> None
-            | Some set ->
-              if st.canonical then begin
-                (* smallest conflicting tid: a pure function of the
-                   bucket's contents, replayable after a resume *)
-                let best = ref None in
-                Hashtbl.iter
-                  (fun tid' () ->
-                    if tid' <> tid then
-                      let v' = eff st tid' rhs in
-                      if (not (Value.is_null v')) && not (Value.equal v v')
-                      then
-                        match !best with
-                        | Some b when b <= tid' -> ()
-                        | _ -> best := Some tid')
-                  set;
-                !best
-              end
-              else begin
-                (* first conflicting bucket-mate; early exit keeps big
-                   groups cheap (hash order is deterministic for a given
-                   history) *)
-                let found = ref None in
-                try
-                  Hashtbl.iter
-                    (fun tid' () ->
-                      if tid' <> tid then
-                        let v' = eff st tid' rhs in
-                        if (not (Value.is_null v')) && not (Value.equal v v')
-                        then begin
-                          found := Some tid';
-                          raise Exit
-                        end)
-                    set;
-                  None
-                with Exit -> !found
-              end
+            Hashtbl.fold
+              (fun tid' () best ->
+                match best with
+                | Some b when b <= tid' -> best
+                | _ ->
+                  if tid' <> tid && rhs_conflicts st rhs v tid' then Some tid'
+                  else best)
+              set None
           in
           match partner with
           | None -> None
@@ -684,12 +624,6 @@ let pick_next st =
   in
   pop ()
 
-(* The weighted-medoid value of a class: the member original value that
-   minimises the class's change cost — what instantiation will pick.  [None]
-   when every member was originally null. *)
-let best_constant st root =
-  medoid_of_tables ~canonical:st.canonical [ class_weights st root ]
-
 let apply st = function
   | Set_rhs { cell; value } ->
     with_change st [ cell ] (fun () ->
@@ -705,53 +639,23 @@ let apply st = function
       "batch.merge"
     @@ fun () ->
     with_change st [ cell1; cell2 ] (fun () ->
-        if st.canonical then begin
-          (* Drop the cached weight tables and let [class_weights] rebuild
-             from the merged member list: per-value weight sums are then
-             always accumulated in member order — the one order a resumed
-             run reproduces exactly. *)
-          let r1 = Eqclass.find st.eq cell1
-          and r2 = Eqclass.find st.eq cell2 in
-          let root = Eqclass.union st.eq cell1 cell2 in
-          Hashtbl.remove st.class_weights r1;
-          Hashtbl.remove st.class_weights r2;
-          Hashtbl.remove st.class_weights root;
-          if Eqclass.target st.eq root = Eqclass.Unfixed then
-            match
-              medoid_of_tables ~canonical:true [ class_weights st root ]
-            with
-            | Some v -> Eqclass.set_repr st.eq root v
-            | None -> ()
-        end
-        else begin
-          let t1 = class_weights st cell1 and t2 = class_weights st cell2 in
-          let r1 = Eqclass.find st.eq cell1
-          and r2 = Eqclass.find st.eq cell2 in
-          let root = Eqclass.union st.eq cell1 cell2 in
-          (* Fold the smaller weight table into the larger and rebind it to
-             the surviving root. *)
-          let big, small =
-            if Hashtbl.length t1 >= Hashtbl.length t2 then (t1, t2)
-            else (t2, t1)
-          in
-          Hashtbl.iter
-            (fun v w ->
-              match Hashtbl.find_opt big v with
-              | Some acc -> Hashtbl.replace big v (acc +. w)
-              | None -> Hashtbl.add big v w)
-            small;
-          Hashtbl.remove st.class_weights r1;
-          Hashtbl.remove st.class_weights r2;
-          Hashtbl.replace st.class_weights root big;
-          (* Keep the representative aligned with the value the merged
-             class is headed for, so effective-value checks (and the
-             pattern rows they trigger) see the likely outcome rather than
-             whichever side's representative survived the union. *)
-          if Eqclass.target st.eq root = Eqclass.Unfixed then
-            match medoid_of_tables ~canonical:false [ big ] with
-            | Some v -> Eqclass.set_repr st.eq root v
-            | None -> ()
-        end);
+        (* Drop the cached weight lists and let [class_weights] rebuild
+           from the merged member list: per-value weight sums are then
+           always accumulated in member order — the one order a resumed
+           run reproduces exactly. *)
+        let r1 = Eqclass.find st.eq cell1 and r2 = Eqclass.find st.eq cell2 in
+        let root = Eqclass.union st.eq cell1 cell2 in
+        Hashtbl.remove st.class_weights r1;
+        Hashtbl.remove st.class_weights r2;
+        Hashtbl.remove st.class_weights root;
+        (* Keep the representative aligned with the value the merged class
+           is headed for, so effective-value checks (and the pattern rows
+           they trigger) see the likely outcome rather than whichever
+           side's representative survived the union. *)
+        if Eqclass.target st.eq root = Eqclass.Unfixed then
+          match best_constant st root with
+          | Some v -> Eqclass.set_repr st.eq root v
+          | None -> ());
     st.merges <- st.merges + 1;
     Metrics.incr m_merges
   | Set_lhs { cell; target } ->
@@ -766,13 +670,11 @@ let apply st = function
 let instantiate st =
   let changed = ref false in
   (* Collect the roots first (targets never change which cells are roots,
-     so the snapshot is exact); canonical mode then sorts them, because
-     [iter_roots] order reflects registration history. *)
+     so the snapshot is exact), then sort them: [iter_roots] order reflects
+     registration history. *)
   let roots = ref [] in
   Eqclass.iter_roots (fun root -> roots := root :: !roots) st.eq;
-  let roots =
-    if st.canonical then List.sort compare !roots else List.rev !roots
-  in
+  let roots = List.sort compare !roots in
   st.instantiate_visits <- st.instantiate_visits + List.length roots;
   List.iter
     (fun root ->
@@ -798,20 +700,25 @@ let instantiate st =
     roots;
   !changed
 
-let init_state ?eq rel sigma ~use_dependency_graph ~canonical =
+let init_state ?eq rel sigma ~use_dependency_graph =
   let schema = Relation.schema rel in
   let arity = Schema.arity schema in
   let n = Array.length sigma in
   let lhs_of = Array.map Cfd.lhs sigma in
   let lhs_pats_of = Array.map Cfd.lhs_patterns sigma in
-  let attr_lhs_wild = Array.make arity [] in
+  let index = Clause_index.compile sigma in
+  let n_fds = Clause_index.fd_count index in
+  let attr_fds = Array.make arity [] in
   Array.iteri
-    (fun cid cfd ->
-      if not (Cfd.is_constant cfd) then
+    (fun cid lhs ->
+      let f = Clause_index.fd index cid in
+      if f >= 0 then
         Array.iter
-          (fun attr -> attr_lhs_wild.(attr) <- cid :: attr_lhs_wild.(attr))
-          lhs_of.(cid))
-    sigma;
+          (fun attr ->
+            if not (List.mem f attr_fds.(attr)) then
+              attr_fds.(attr) <- f :: attr_fds.(attr))
+          lhs)
+    lhs_of;
   let strata =
     if use_dependency_graph then Depgraph.strata schema sigma
     else Array.make n 0
@@ -826,16 +733,15 @@ let init_state ?eq rel sigma ~use_dependency_graph ~canonical =
   let st =
     {
       rel;
-      canonical;
       sigma;
       lhs_of;
       lhs_pats_of;
       eq;
       arity;
-      buckets = Array.map (fun _ -> Vkey.Table.create 256) sigma;
-      bucket_key = Array.map (fun _ -> Hashtbl.create 256) sigma;
-      index = Clause_index.compile sigma;
-      attr_lhs_wild;
+      buckets = Array.init n_fds (fun _ -> Vkey.Table.create 256);
+      bucket_key = Array.init n_fds (fun _ -> Hashtbl.create 256);
+      index;
+      attr_fds;
       strata;
       queue = Heap.create ~tie:compare ();
       enqueued = Hashtbl.create 1024;
@@ -862,55 +768,98 @@ let init_state ?eq rel sigma ~use_dependency_graph ~canonical =
       for attr = 0 to arity - 1 do
         ignore (cellof st tid attr)
       done;
-      Array.iteri
-        (fun cid cfd ->
-          if not (Cfd.is_constant cfd) then bucket_insert st cid tid)
-        sigma)
+      for f = 0 to n_fds - 1 do
+        bucket_insert st f tid
+      done)
     rel;
   st
 
-(* Rebuild every wildcard clause's bucket structure from the current
-   effective values — the ground truth the incremental maintenance must
-   agree with. *)
+(* Rebuild every embedded FD's buckets from the current effective values —
+   the ground truth the incremental maintenance must agree with. *)
 let rebuild_buckets st =
   Array.iteri
-    (fun cid cfd ->
-      if not (Cfd.is_constant cfd) then begin
-        Vkey.Table.reset st.buckets.(cid);
-        Hashtbl.reset st.bucket_key.(cid);
-        Relation.iter (fun t -> bucket_insert st cid (Tuple.tid t)) st.rel
-      end)
-    st.sigma
+    (fun f buckets ->
+      Vkey.Table.reset buckets;
+      Hashtbl.reset st.bucket_key.(f);
+      Relation.iter (fun t -> bucket_insert st f (Tuple.tid t)) st.rel)
+    st.buckets
 
-(* Wildcard clauses: offer every member of any bucket holding two distinct
-   effective RHS values.  In canonical mode the offers of each clause are
-   collected and sorted first, because bucket-table iteration order is a
-   function of insertion history that a resumed run cannot reproduce. *)
+(* Call [k cid] for every wildcard clause of embedded FD [f] that one of
+   its groups matches: every member shares X, so any one of them decides. *)
+let iter_group_rows st f set k =
+  match Hashtbl.to_seq_keys set () with
+  | Seq.Nil -> ()
+  | Seq.Cons (member, _) ->
+    Clause_index.iter_fd_rows st.index f (eff st member) (fun cid ->
+        if eff_matches_lhs st cid member then k cid)
+
+(* Whether a group holds two distinct non-null effective values at [rhs]. *)
+let conflicted st rhs set =
+  let seen = ref None in
+  try
+    Hashtbl.iter
+      (fun tid () ->
+        let v = eff st tid rhs in
+        if not (Value.is_null v) then
+          match !seen with
+          | None -> seen := Some v
+          | Some u -> if not (Value.equal u v) then raise Exit)
+      set;
+    false
+  with Exit -> true
+
+(* Wildcard clauses: offer every (clause, member) pair of any group holding
+   two distinct effective RHS values, in ascending (clause, tid) order —
+   bucket-table iteration order is a function of insertion history that a
+   resumed run cannot reproduce. *)
 let offer_wild_violations st ~offer =
+  let pending = ref [] in
   Array.iteri
-    (fun cid cfd ->
-      if not (Cfd.is_constant cfd) then begin
-        let pending = if st.canonical then Some (ref []) else None in
-        Vkey.Table.iter
-          (fun _key set ->
-            let distinct = Hashtbl.create 4 in
-            Hashtbl.iter
-              (fun tid () ->
-                let v = eff st tid (Cfd.rhs cfd) in
-                if not (Value.is_null v) then Hashtbl.replace distinct v ())
-              set;
-            if Hashtbl.length distinct >= 2 then
-              match pending with
-              | Some acc ->
-                Hashtbl.iter (fun tid () -> acc := tid :: !acc) set
-              | None -> Hashtbl.iter (fun tid () -> offer cid tid) set)
-          st.buckets.(cid);
-        match pending with
-        | Some acc ->
-          List.iter (fun tid -> offer cid tid) (List.sort_uniq compare !acc)
-        | None -> ()
-      end)
-    st.sigma
+    (fun f buckets ->
+      let rhs = Clause_index.fd_rhs st.index f in
+      Vkey.Table.iter
+        (fun _key set ->
+          if conflicted st rhs set then
+            iter_group_rows st f set (fun cid ->
+                Hashtbl.iter
+                  (fun tid () -> pending := (cid, tid) :: !pending)
+                  set))
+        buckets)
+    st.buckets;
+  List.iter (fun (cid, tid) -> offer cid tid) (List.sort_uniq compare !pending)
+
+(* The DATAQUAL_PARANOID invariant: every live wildcard conflict has at
+   least one of its two (clause, tuple) pairs queued. *)
+let check_all_queued st ~step =
+  Array.iteri
+    (fun f buckets ->
+      let rhs = Clause_index.fd_rhs st.index f in
+      Vkey.Table.iter
+        (fun _key set ->
+          iter_group_rows st f set (fun cid ->
+              Hashtbl.iter
+                (fun tid () ->
+                  let v = eff st tid rhs in
+                  if not (Value.is_null v) then
+                    Hashtbl.iter
+                      (fun tid' () ->
+                        if
+                          tid' <> tid
+                          && rhs_conflicts st rhs v tid'
+                          && (not (Hashtbl.mem st.enqueued (cid, tid)))
+                          && not (Hashtbl.mem st.enqueued (cid, tid'))
+                        then
+                          Log.err (fun m ->
+                              m
+                                "step %d: live pair (%s, %d~%d) not queued \
+                                 after %a"
+                                step
+                                (Cfd.name st.sigma.(cid))
+                                tid tid' Cfd.pp st.sigma.(cid)))
+                      set)
+                set))
+        buckets)
+    st.buckets
 
 (* Offer every live violation under the current effective values: constant
    clauses by direct checks, wildcard clauses from conflicting buckets.
@@ -998,13 +947,6 @@ let repair_single ?pool ?(use_dependency_graph = true)
   @@ fun () ->
   let started = Unix.gettimeofday () in
   let phases = ref [] in
-  (* Checkpointing or resuming switches the engine into canonical mode: a
-     resumed run rebuilds its hash tables from a snapshot and cannot share
-     their iteration history with the run that wrote it, so every decision
-     that could depend on that history runs through a sorted path instead.
-     Without either flag the engine behaves — byte for byte — as it did
-     before checkpointing existed. *)
-  let canonical = checkpoint <> None || resume <> None in
   (* Expensive invariant check after every step, for debugging the
      incremental dirty propagation; an empty value counts as unset. *)
   let paranoid =
@@ -1021,9 +963,11 @@ let repair_single ?pool ?(use_dependency_graph = true)
   match invalid with
   | Some e -> Error e
   | None -> (
+    (* The fingerprint hashes every cell: only computed when a checkpoint
+       will carry it or a resume must match it. *)
     let fp =
-      if canonical then Checkpoint.fingerprint db sigma ~use_dependency_graph
-      else 0
+      if checkpoint = None && resume = None then 0
+      else Checkpoint.fingerprint db sigma ~use_dependency_graph
     in
     match resume with
     | Some cp when cp.Checkpoint.kind <> Checkpoint.batch_kind ->
@@ -1051,7 +995,7 @@ let repair_single ?pool ?(use_dependency_graph = true)
       in
       let st =
         timed phases "init" m_t_init (fun () ->
-            init_state ?eq rel sigma ~use_dependency_graph ~canonical)
+            init_state ?eq rel sigma ~use_dependency_graph)
       in
       let steps = ref 0 in
       let rescans = ref 0 in
@@ -1147,41 +1091,7 @@ let repair_single ?pool ?(use_dependency_graph = true)
               !pass_no !steps (Heap.length st.queue)
               (float_of_int !steps
               /. Float.max 1e-9 (Unix.gettimeofday () -. started)));
-      if paranoid then begin
-        (* Every live violation must be queued. *)
-        Array.iteri
-          (fun cid cfd ->
-            if not (Cfd.is_constant cfd) then
-              Vkey.Table.iter
-                (fun _ set ->
-                  Hashtbl.iter
-                    (fun tid () ->
-                      let v = eff st tid (Cfd.rhs cfd) in
-                      if not (Value.is_null v) then
-                        Hashtbl.iter
-                          (fun tid' () ->
-                            let v' = eff st tid' (Cfd.rhs cfd) in
-                            if
-                              tid' <> tid
-                              && (not (Value.is_null v'))
-                              && (not (Value.equal v v'))
-                              && (not (Hashtbl.mem st.enqueued (cid, tid)))
-                              && not (Hashtbl.mem st.enqueued (cid, tid'))
-                            then
-                              Log.err (fun m ->
-                                  m
-                                    "step %d: live pair (%s, %d~%d) not \
-                                     queued after %s"
-                                    !steps
-                                    (Cfd.name st.sigma.(cid))
-                                    tid tid'
-                                    (Format.asprintf "%a" Cfd.pp
-                                       st.sigma.(cid))))
-                          set)
-                    set)
-                st.buckets.(cid))
-          st.sigma
-      end;
+      if paranoid then check_all_queued st ~step:!steps;
         drain ()
       | None -> Ok `Drained
     end

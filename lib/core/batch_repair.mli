@@ -106,16 +106,14 @@ val repair :
     relation and ruleset must be the ones the checkpoint was taken from
     (enforced by fingerprint; mismatch is [Error (Invalid_input _)]).
 
-    Either option switches the engine into {e canonical mode}: every
-    decision that could depend on hash-table iteration history (offer
-    order, conflict-partner choice, float-summation order, instantiation
-    order) runs through a value-sorted path instead, so a run killed at
-    any point and resumed from its last checkpoint produces output
-    byte-identical to the same run left uninterrupted {e with the same
-    options}.  Canonical mode may pick different (equally valid,
-    equally costed) repairs than the default mode; without [checkpoint]
-    or [resume] the engine is byte-identical to what it produced before
-    these options existed.
+    Neither option changes a decision.  The engine never reads hash-table
+    iteration order: offers, instantiation and float sums run in value or
+    tid order, and a wildcard violation's merge partner is the smallest
+    conflicting tid in the tuple's group.  So every batch run on the same
+    input takes the same decisions, [checkpoint] changes nothing in the
+    output, and a run killed at any point and resumed from its last
+    checkpoint produces output byte-identical to the same run left
+    uninterrupted.
 
     {2 Shard partition}
 

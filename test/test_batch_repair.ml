@@ -149,6 +149,44 @@ let test_paranoid_invariant () =
   repair noise.Dq_workload.Noise.dirty ds.Dq_workload.Datagen.sigma;
   Alcotest.(check int) "no invariant error logged" errors (Logs.err_count ())
 
+(* Per-FD buckets on tableaux whose rows share embedded FDs (X listed in
+   different orders, RHS inside X, nulls in X and A): the paranoid check
+   stays silent, the repair satisfies Σ by the naive oracle, and neither
+   the job count nor checkpointing changes the CSV or provenance. *)
+let prop_fd_buckets =
+  QCheck.Test.make
+    ~name:"per-FD buckets: paranoid-silent, consistent, jobs 1 = 4 = checkpoint"
+    ~count:200 Tableau_gen.instance (fun (rel, sigma) ->
+      Unix.putenv "DATAQUAL_PARANOID" "1";
+      Fun.protect ~finally:(fun () -> Unix.putenv "DATAQUAL_PARANOID" "")
+      @@ fun () ->
+      let errors = Logs.err_count () in
+      let run ?checkpoint jobs =
+        Dq_parallel.Pool.with_pool ~jobs @@ fun pool ->
+        let (repaired, _), report =
+          Helpers.ok2 (Batch_repair.repair ~pool ?checkpoint rel sigma)
+        in
+        ( repaired,
+          ( Csv.save_string repaired,
+            List.map
+              (fun e ->
+                Dq_obs.Json.to_string (Dq_obs.Provenance.entry_to_json e))
+              report.Dq_obs.Report.provenance ) )
+      in
+      let repaired, out1 = run 1 in
+      let _, out4 = run 4 in
+      let path = Filename.temp_file "dataqual" ".ckpt" in
+      let _, out_ck =
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () -> run ~checkpoint:{ Batch_repair.path; every = 1 } 1)
+      in
+      Logs.err_count () = errors
+      && Relation.fold
+           (fun ok t -> ok && Oracle.vio_tuple repaired sigma t = 0)
+           true repaired
+      && out1 = out4 && out1 = out_ck)
+
 let suite =
   [
     Alcotest.test_case "fig1 repair" `Quick test_fig1_repair;
@@ -162,4 +200,5 @@ let suite =
       test_no_dependency_graph_variant;
     Alcotest.test_case "paranoid invariant check stays silent" `Quick
       test_paranoid_invariant;
+    QCheck_alcotest.to_alcotest prop_fd_buckets;
   ]

@@ -250,8 +250,8 @@ let test_batch_deadline_zero () =
 
 (* ---- batch repair: checkpoint / resume -------------------------------- *)
 
-(* Uninterrupted canonical run (checkpointing arms canonical mode), the
-   baseline every kill-and-resume comparison is against. *)
+(* Uninterrupted checkpointing run, the baseline every kill-and-resume
+   comparison is against. *)
 let canonical_run ?pool rel sigma path =
   Helpers.ok
     (Batch_repair.repair ?pool
@@ -365,13 +365,8 @@ let test_resume_fingerprint_mismatch () =
   | Ok _ -> Alcotest.fail "mismatched inputs must be rejected"
 
 let test_default_mode_unchanged () =
-  (* The zero-overhead gate: without checkpoint/resume/deadline the
-     engine must produce the very bytes it produced before the fault
-     layer existed — canonical mode must not leak into the default
-     path.  Compare default mode against itself across job counts and
-     confirm it differs-or-equals canonical only through explicit
-     opt-in (the repairs may legitimately coincide; what matters is
-     default = default). *)
+  (* Without checkpoint/resume/deadline the engine's output must not
+     depend on the job count. *)
   let rel, sigma = dirty_fixture 250 in
   let plain = batch_key (Helpers.ok (Batch_repair.repair rel sigma)) in
   List.iter
@@ -382,6 +377,51 @@ let test_default_mode_unchanged () =
         true
         (batch_key (Helpers.ok (Batch_repair.repair ~pool rel sigma)) = plain))
     job_counts
+
+(* Checkpointing changes nothing in the output: a plain run, the same run
+   writing checkpoints, and a run killed at its first pass boundary then
+   resumed all land on the same CSV and provenance trail.  The input is
+   what [cfdclean repair] reads after [cfdclean generate -n 300 --rate
+   0.05 --seed 7]: the dirty CSV and the printed ruleset, parsed back. *)
+let test_checkpoint_changes_nothing () =
+  let ds = Datagen.generate (Datagen.default_params ~n_tuples:300 ~seed:7 ()) in
+  let noise = Noise.inject (Noise.default_params ~rate:0.05 ~seed:7 ()) ds in
+  let rel = Csv.load_string (Csv.save_string noise.Noise.dirty) in
+  let sigma =
+    match
+      Dq_cfd.Cfd_parser.parse_string
+        (Dq_cfd.Cfd_parser.to_string ds.Datagen.tableaus)
+    with
+    | Ok tableaus -> Dq_cfd.Cfd_parser.resolve (Relation.schema rel) tableaus
+    | Error _ -> Alcotest.fail "generated ruleset does not parse"
+  in
+  let output r =
+    let (repaired, _), report = Helpers.ok2 r in
+    ( Csv.save_string repaired,
+      List.map
+        (fun e ->
+          Dq_obs.Json.to_string (Dq_obs.Provenance.entry_to_json e))
+        report.Dq_obs.Report.provenance )
+  in
+  let plain = output (Batch_repair.repair rel sigma) in
+  in_temp_file @@ fun path ->
+  let checkpoint = { Batch_repair.path; every = 1 } in
+  let checkpointed = output (Batch_repair.repair ~checkpoint rel sigma) in
+  (match
+     with_plan "repair.pass@1:raise" (fun () ->
+         Batch_repair.repair ~checkpoint rel sigma)
+   with
+  | exception Fault.Injected "repair.pass" -> ()
+  | _ -> Alcotest.fail "fault should have killed the run");
+  let cp =
+    match Checkpoint.load path with
+    | Ok cp -> cp
+    | Error msg -> Alcotest.failf "checkpoint unreadable: %s" msg
+  in
+  let resumed = output (Batch_repair.repair ~resume:cp ~checkpoint rel sigma) in
+  let same = Alcotest.(pair string (list string)) in
+  Alcotest.check same "--checkpoint = plain" plain checkpointed;
+  Alcotest.check same "kill + --resume = plain" plain resumed
 
 (* ---- incremental repair: deadlines ------------------------------------ *)
 
@@ -467,6 +507,8 @@ let suite =
       test_resume_fingerprint_mismatch;
     Alcotest.test_case "default mode byte-stable" `Slow
       test_default_mode_unchanged;
+    Alcotest.test_case "batch: checkpoint and resume change nothing" `Quick
+      test_checkpoint_changes_nothing;
     Alcotest.test_case "inc: deadline degrades, keeps all tuples" `Quick
       test_inc_deadline_degrades;
     Alcotest.test_case "inc: zero budget fails outright" `Quick

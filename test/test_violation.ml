@@ -132,45 +132,6 @@ let test_pair_conflict_symmetric () =
 
 (* ---- differential: the compiled clause index against the naive oracle -- *)
 
-(* Random tableaux in which several pattern rows share an embedded FD, each
-   row listing X in its own order (the RHS may sit in X too), over
-   relations with nulls in X and A. *)
-module Diff = struct
-  open QCheck.Gen
-
-  let cell = frequency [ (1, return Value.null); (5, Gen.value_gen) ]
-
-  let relation_gen =
-    map
-      (fun rows ->
-        let rel = Relation.create Gen.schema in
-        List.iter (fun values -> ignore (Relation.insert rel values)) rows;
-        rel)
-      (list_size (0 -- 25) (array_size (return (List.length Gen.attrs)) cell))
-
-  let pattern =
-    frequency
-      [ (2, return Pattern.Wild); (1, map (fun v -> Pattern.const v) Gen.value_gen) ]
-
-  let fd_rows =
-    let* size = 1 -- 3 in
-    let* perm = shuffle_l Gen.attrs in
-    let x = List.filteri (fun i _ -> i < size) perm in
-    let* a = oneofl Gen.attrs in
-    let* n_rows = 1 -- 4 in
-    list_repeat n_rows
-      (let* order = shuffle_l x in
-       let* pats = flatten_l (List.map (fun _ -> pattern) order) in
-       let* rhs_pat = pattern in
-       return (Cfd.make Gen.schema ~lhs:(List.combine order pats) ~rhs:(a, rhs_pat)))
-
-  let sigma_gen =
-    let* fds = list_size (1 -- 3) fd_rows in
-    map Cfd.number (shuffle_l (List.concat fds))
-
-  let instance = QCheck.make (pair relation_gen sigma_gen)
-end
-
 (* find_all by definition: singles per tuple in relation order, then per
    wildcard clause in Σ order each conflicting tuple against the first
    tuple in relation order it conflicts with. *)
@@ -260,7 +221,7 @@ let agrees_with_oracle pool rel sigma =
 
 let prop_differential =
   QCheck.Test.make ~name:"compiled index = naive oracle (jobs 1 and 4)"
-    ~count:200 Diff.instance (fun (rel, sigma) ->
+    ~count:200 Tableau_gen.instance (fun (rel, sigma) ->
       List.for_all
         (fun jobs ->
           Dq_parallel.Pool.with_pool ~jobs (fun pool ->
