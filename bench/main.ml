@@ -1191,9 +1191,10 @@ let micro () =
       Relation.find_exn info.Noise.dirty (List.hd info.Noise.dirty_tids)
     in
     let env = Tuple_resolve.make_env clean sigma in
-    (* Warm the lazy cluster indexes out of the measured path. *)
+    (* Warm the lazy nearest-value indexes out of the measured path. *)
     ignore (Tuple_resolve.resolve env (Tuple.copy dirty_tuple));
-    let zip_domain = Relation.active_domain clean Order_schema.zip in
+    let zip_index = Cluster_index.of_attribute clean Order_schema.zip in
+    let zip_query = Tuple.get dirty_tuple Order_schema.zip in
     let tests =
       Test.make_grouped ~name:"core"
         [
@@ -1203,8 +1204,8 @@ let micro () =
                Violation.satisfies clean sigma));
           Test.make ~name:"lhs-index-build-2k" (Staged.stage (fun () ->
                Lhs_index.build sigma clean));
-          Test.make ~name:"cluster-index-build" (Staged.stage (fun () ->
-               Cluster_index.build zip_domain));
+          Test.make ~name:"nearest-lookup" (Staged.stage (fun () ->
+               Cluster_index.nearest zip_index zip_query ~k:4));
           Test.make ~name:"tuple-resolve" (Staged.stage (fun () ->
                Tuple_resolve.resolve env (Tuple.copy dirty_tuple)));
         ]

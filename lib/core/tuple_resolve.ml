@@ -39,13 +39,14 @@ let make_env ?(k = 2) ?(max_candidates = 6) ?(use_cluster_index = true) repr
 
 let register env t =
   Lhs_index.add_tuple env.index t;
-  (* Drop the lazily built clusters: the new tuple may extend an
-     attribute's active domain, and candidate enumeration must be a
-     function of the tuples registered so far, not of when a cluster
-     happened to be built — otherwise repairing a delta in one call and
-     in several calls (serve's per-batch ingest) tie-breaks equal-cost
-     repairs differently. *)
-  Array.fill env.clusters 0 (Array.length env.clusters) None
+  (* Keep every built index current rather than dropping it: a lookup's
+     answer depends only on the values indexed, so candidate enumeration
+     stays a function of the tuples registered so far — repairing a delta
+     in one call or in several (serve's per-batch ingest) tie-breaks
+     equal-cost repairs identically. *)
+  Array.iteri
+    (fun pos c -> Option.iter (fun c -> Cluster_index.add c (Tuple.get t pos)) c)
+    env.clusters
 
 let vio_against env t = Lhs_index.vio env.index t
 
@@ -71,7 +72,7 @@ let rec combinations k lst =
    RHS is this attribute (pattern constants and LHS-index lookups — the
    "semantically related" values FINDV favours); near neighbours from the
    cost-based index; and always null as the escape hatch. *)
-let candidates env rt pos =
+let candidates env near rt pos =
   let seen = ref [] in
   let out = ref [] in
   let push v =
@@ -89,7 +90,7 @@ let candidates env rt pos =
       | None -> ())
     env.rhs_clauses.(pos);
   if env.use_cluster_index && not (Value.is_null current) then
-    List.iter push (Cluster_index.nearest (cluster env pos) current ~k:4);
+    List.iter push (Lazy.force near.(pos));
   List.rev (Value.null :: !out)
 
 (* Clauses that must hold once the attributes in [positions] are fixed:
@@ -139,6 +140,12 @@ let resolve env t =
           env.clause_attrs.(cid))
       violated;
     let remaining = ref (List.sort Int.compare !remaining) in
+    (* An open attribute keeps [t]'s value until it is fixed, so its
+       nearest values are looked up at most once per call. *)
+    let near =
+      Array.init env.arity (fun pos ->
+          lazy (Cluster_index.nearest (cluster env pos) (Tuple.get t pos) ~k:4))
+    in
     while !remaining <> [] do
       let step_k = min env.k (List.length !remaining) in
       let best = ref None in
@@ -150,7 +157,7 @@ let resolve env t =
       List.iter
         (fun positions ->
           let scope = clauses_in_scope env fixed positions in
-          let cand_lists = List.map (candidates env rt) positions in
+          let cand_lists = List.map (candidates env near rt) positions in
           List.iter
             (fun values ->
               let scratch = Tuple.copy rt in

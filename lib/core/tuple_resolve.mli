@@ -13,17 +13,18 @@
     candidates the cheaper change still wins rather than all tying at 0.)
 
     Optimizations from Section 5.2 are built in: LHS-indices answer the
-    satisfaction and [vio] checks in O(|Σ|), and cost-based cluster indices
-    ({!Cluster_index}) propose candidate values near the current one.
-    Attributes mentioned in no violated clause are frozen immediately at
-    zero cost, so clean tuples resolve in O(|Σ|). *)
+    satisfaction and [vio] checks in O(|Σ|), and cost-based indices
+    ({!Cluster_index}) propose the values nearest the current one — looked
+    up once per open attribute per {!resolve} call.  Attributes mentioned
+    in no violated clause are frozen immediately at zero cost, so clean
+    tuples resolve in O(|Σ|). *)
 
 open Dq_relation
 
 type env
 (** Shared state for resolving a stream of tuples against a growing repair:
-    the repair relation, its LHS-indices, and per-attribute cluster
-    indices. *)
+    the repair relation, its LHS-indices, and per-attribute nearest-value
+    indices (built on first use, then kept current by {!register}). *)
 
 val make_env :
   ?k:int ->
@@ -39,7 +40,10 @@ val make_env :
 
 val register : env -> Tuple.t -> unit
 (** Record a tuple that has been added to the repair, keeping the
-    LHS-indices current ([Repr] grows tuple by tuple in INCREPAIR). *)
+    LHS-indices and nearest-value indices current ([Repr] grows tuple by
+    tuple in INCREPAIR).  Lookups depend only on the relation's contents,
+    so an env after N registrations resolves exactly like a fresh
+    {!make_env} over the same relation. *)
 
 val resolve : env -> Tuple.t -> Tuple.t
 (** A repaired copy of the tuple (same tid and weights) such that adding it

@@ -1,5 +1,5 @@
 type context = string list
-(* Innermost-first stack of enclosing span names for the current domain. *)
+(* Innermost-first stack of enclosing span names for the current thread. *)
 
 type event = {
   ph : [ `B | `E ];
@@ -19,7 +19,7 @@ let epoch = Atomic.make 0.0
 let now_us () = (Unix.gettimeofday () -. Atomic.get epoch) *. 1e6
 
 (* Events are appended under a mutex in real chronological order, so the
-   per-domain subsequence is well-nested by construction — no timestamp
+   per-thread subsequence is well-nested by construction — no timestamp
    sorting (and its zero-duration tie-break hazards) needed on output. *)
 let lock = Mutex.create ()
 let buf : event list ref = ref []
@@ -40,30 +40,48 @@ let set_enabled b =
     Atomic.set epoch (Unix.gettimeofday ());
   Atomic.set enabled_flag b
 
-(* Per-domain span stack; fresh worker domains start empty unless the pool
-   installs a submitter context via [with_context]. *)
-let stack_key : string list Domain.DLS.key = Domain.DLS.new_key (fun () -> [])
+(* Per-thread span stacks, keyed by systhread id (unique across domains).
+   Serve's request handlers are systhreads sharing one domain, so a
+   per-domain stack would nest one handler's spans inside another's.
+   Fresh threads and worker domains start empty unless the pool installs a
+   submitter context via [with_context]; a thread with an empty stack has
+   no entry. *)
+let stacks : (int, string list) Hashtbl.t = Hashtbl.create 16
+let stacks_lock = Mutex.create ()
 
-let current_context () = Domain.DLS.get stack_key
+let self_id () = Thread.id (Thread.self ())
+
+let get_stack id =
+  Mutex.protect stacks_lock (fun () ->
+      Option.value (Hashtbl.find_opt stacks id) ~default:[])
+
+let set_stack id stack =
+  Mutex.protect stacks_lock (fun () ->
+      match stack with
+      | [] -> Hashtbl.remove stacks id
+      | _ -> Hashtbl.replace stacks id stack)
+
+let current_context () = get_stack (self_id ())
 
 let with_context ctx f =
-  let saved = Domain.DLS.get stack_key in
-  Domain.DLS.set stack_key ctx;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set stack_key saved) f
+  let id = self_id () in
+  let saved = get_stack id in
+  set_stack id ctx;
+  Fun.protect ~finally:(fun () -> set_stack id saved) f
 
 let span ?(cat = "span") ?args name f =
   if not (Atomic.get enabled_flag) then f ()
   else begin
-    let tid = (Domain.self () :> int) in
-    let stack = Domain.DLS.get stack_key in
+    let tid = self_id () in
+    let stack = get_stack tid in
     let path = List.rev (name :: stack) in
     let args = match args with None -> [] | Some thunk -> thunk () in
-    Domain.DLS.set stack_key (name :: stack);
+    set_stack tid (name :: stack);
     push { ph = `B; name; cat; ts = now_us (); tid; path; args };
     Fun.protect
       ~finally:(fun () ->
         push { ph = `E; name; cat; ts = now_us (); tid; path; args = [] };
-        Domain.DLS.set stack_key stack)
+        set_stack tid stack)
       f
   end
 

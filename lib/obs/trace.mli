@@ -2,7 +2,7 @@
 
     Where {!Metrics} aggregates (how many merges, total seconds in a
     phase), a trace keeps every occurrence: a {e span} is one timed
-    interval with a name, a category, the domain it ran on, and optional
+    interval with a name, a category, the thread it ran on, and optional
     arguments (tuple and clause counts, pass numbers).  Spans nest — the
     engines open one around each {!Report} phase and finer-grained ones
     inside the hot paths (per resolution pass and per equivalence-class
@@ -22,25 +22,28 @@
     surface: the set of distinct span paths (see {!type:event}[.path])
     produced by a run is identical at any [--jobs] count.  Timestamps,
     durations, event multiplicities of worker-chunk spans (one per
-    chunk) and domain ids are measurement and vary run to run — the
+    chunk) and thread ids are measurement and vary run to run — the
     same split {!Report.stable_json} makes for reports. *)
 
 type context
-(** The calling domain's current span stack.  {!Dq_parallel.Pool}
-    captures it when a batch is submitted and installs it in the worker
-    domains, so a chunk span's logical parent is the span that submitted
-    the batch even though it runs on another domain (lane). *)
+(** The calling thread's current span stack.  Each systhread — a serve
+    request handler as much as a worker domain — has its own, so threads
+    sharing a domain never nest inside each other's spans.
+    {!Dq_parallel.Pool} captures the stack when a batch is submitted and
+    installs it in the worker domains, so a chunk span's logical parent is
+    the span that submitted the batch even though it runs on another
+    thread (lane). *)
 
 type event = {
   ph : [ `B | `E ];  (** span begin / span end *)
   name : string;
   cat : string;
   ts : float;  (** microseconds since the trace was enabled/cleared *)
-  tid : int;  (** id of the domain the span ran on *)
+  tid : int;  (** id of the systhread the span ran on ([Thread.id]) *)
   path : string list;
       (** enclosing span names, outermost first, ending with this span's
           own name — the logical position in the span tree, independent
-          of which domain lane the span landed on *)
+          of which thread lane the span landed on *)
   args : (string * Json.t) list;  (** on [`B] events; [[]] on [`E] *)
 }
 
@@ -67,7 +70,7 @@ val span :
 val current_context : unit -> context
 
 val with_context : context -> (unit -> 'a) -> 'a
-(** Run the thunk with the given span stack installed in this domain
+(** Run the thunk with the given span stack installed in this thread
     (restored afterwards) — how pool workers inherit their submitter's
     position in the span tree. *)
 

@@ -1,7 +1,7 @@
 (** Binary min-heaps with explicit float priorities.
 
-    Used for best-first traversal of cluster trees ({!Dq_core.Cluster_index})
-    and for cost-ordered candidate selection in the repairing algorithms. *)
+    Used for cost-ordered candidate selection in the repairing
+    algorithms. *)
 
 type 'a t
 

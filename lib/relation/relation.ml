@@ -116,6 +116,9 @@ let active_domain r pos =
 
 let active_domain_size r pos = Hashtbl.length r.adom.(pos)
 
+let domain_count r pos v =
+  match Hashtbl.find_opt r.adom.(pos) v with Some n -> !n | None -> 0
+
 let in_active_domain r pos v = Hashtbl.mem r.adom.(pos) v
 
 let copy r =

@@ -57,6 +57,10 @@ val active_domain : t -> int -> Value.t list
 
 val active_domain_size : t -> int -> int
 
+val domain_count : t -> int -> Value.t -> int
+(** [domain_count r pos v] is how many tuples hold [v] at the attribute
+    ([0] outside the active domain, and for [null]). *)
+
 val in_active_domain : t -> int -> Value.t -> bool
 
 val copy : t -> t

@@ -1,8 +1,8 @@
 (** Growable arrays.
 
     OCaml 5.1 does not ship [Dynarray]; relations, dirty-tuple queues and
-    cluster trees all need an amortised O(1) append structure, so we provide
-    one.  Indices are dense: [0 .. length v - 1]. *)
+    nearest-value indexes all need an amortised O(1) append structure, so
+    we provide one.  Indices are dense: [0 .. length v - 1]. *)
 
 type 'a t
 

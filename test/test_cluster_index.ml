@@ -34,19 +34,6 @@ let test_nearest_enumerates_everything () =
     (List.map Value.to_string (List.sort Value.compare domain))
     (List.sort String.compare (List.map Value.to_string all))
 
-let test_find_first () =
-  let t = Cluster_index.build (vs [ "10012"; "19014"; "19104" ]) in
-  let found =
-    Cluster_index.find_first t (Value.string "19015") (fun v ->
-        not (Value.equal v (Value.string "19014")))
-  in
-  Alcotest.(check bool) "found something" true (Option.is_some found);
-  Alcotest.(check bool) "respects predicate" false
-    (Value.equal (Option.get found) (Value.string "19014"));
-  Alcotest.(check (option string)) "no match" None
-    (Option.map Value.to_string
-       (Cluster_index.find_first t (Value.string "x") (fun _ -> false)))
-
 let test_identical_renderings () =
   (* Int 1 and String "1" render identically; the tree must still hold both. *)
   let t = Cluster_index.build [ Value.int 1; Value.string "1"; Value.int 2 ] in
@@ -73,18 +60,84 @@ let prop_enumeration_complete =
       let out = Cluster_index.nearest t (Value.string query) ~k:1000 in
       List.length out = List.length domain)
 
-let prop_find_first_finds_members =
-  (* The enumeration is approximate in order but must be complete: any
-     domain member is reachable through find_first. *)
-  let word = QCheck.Gen.(string_size ~gen:(char_range 'a' 'c') (1 -- 4)) in
-  QCheck.Test.make ~name:"find_first reaches any domain member" ~count:100
-    (QCheck.make QCheck.Gen.(pair (list_size (1 -- 25) word) word))
-    (fun (words, query) ->
-      let target = Value.string (List.hd words) in
-      let t = Cluster_index.build (List.map Value.string words) in
-      match Cluster_index.find_first t (Value.string query) (Value.equal target) with
-      | Some v -> Value.equal v target
-      | None -> false)
+(* Values of one attribute: short strings and small ints, so distances
+   tie often and [Int 1] / [String "1"] collide on their rendering. *)
+let value_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map Value.string (string_size ~gen:(char_range 'a' 'c') (0 -- 4)));
+        (2, map Value.int (0 -- 12));
+        (1, map (fun i -> Value.string (string_of_int i)) (0 -- 12));
+      ])
+
+let column rel values =
+  List.iter (fun v -> ignore (Relation.insert rel [| v |])) values
+
+let column_schema = Schema.make ~name:"r" [ "A" ]
+
+(* The reference answer: the whole active domain sorted by (DL distance,
+   frequency descending, Value.compare), cut at k. *)
+let brute_force rel query k =
+  let q = Value.to_string query in
+  Relation.active_domain rel 0
+  |> List.map (fun v ->
+         ((Cost.dl_distance q (Value.to_string v), - Relation.domain_count rel 0 v), v))
+  |> List.sort (fun (k1, v1) (k2, v2) ->
+         match compare k1 k2 with 0 -> Value.compare v1 v2 | c -> c)
+  |> List.filteri (fun i _ -> i < k)
+  |> List.map snd
+
+let print_values vs = String.concat " " (List.map Value.to_display vs)
+
+let prop_nearest_is_exact =
+  QCheck.Test.make ~name:"nearest equals a brute-force sort of the domain" ~count:300
+    (QCheck.make
+       ~print:(fun (vs, q, k) ->
+         Printf.sprintf "domain: %s | query: %s | k: %d" (print_values vs)
+           (Value.to_display q) k)
+       QCheck.Gen.(triple (list_size (0 -- 30) value_gen) value_gen (0 -- 8)))
+    (fun (values, query, k) ->
+      let rel = Relation.create column_schema in
+      column rel (Value.null :: values);
+      let got = Cluster_index.nearest (Cluster_index.of_attribute rel 0) query ~k in
+      List.equal Value.equal got (brute_force rel query k))
+
+let prop_insert_order_irrelevant =
+  (* One index built over the full relation; two kept current with [add]
+     while the same rows arrive in two different orders. *)
+  QCheck.Test.make ~name:"answers do not depend on insertion order" ~count:200
+    (QCheck.make
+       ~print:(fun (vs, _, qs) ->
+         Printf.sprintf "values: %s | queries: %s" (print_values vs) (print_values qs))
+       QCheck.Gen.(
+         let* values = list_size (0 -- 30) value_gen in
+         let* shuffled = shuffle_l values in
+         let* queries = list_size (1 -- 5) value_gen in
+         return (values, shuffled, queries)))
+    (fun (values, shuffled, queries) ->
+      let grown values =
+        let rel = Relation.create column_schema in
+        let idx = Cluster_index.of_attribute rel 0 in
+        List.iter
+          (fun v ->
+            ignore (Relation.insert rel [| v |]);
+            Cluster_index.add idx v)
+          values;
+        idx
+      in
+      let full =
+        let rel = Relation.create column_schema in
+        column rel values;
+        Cluster_index.of_attribute rel 0
+      in
+      let a = grown values and b = grown shuffled in
+      List.for_all
+        (fun q ->
+          let expect = Cluster_index.nearest full q ~k:4 in
+          List.equal Value.equal expect (Cluster_index.nearest a q ~k:4)
+          && List.equal Value.equal expect (Cluster_index.nearest b q ~k:4))
+        queries)
 
 let suite =
   [
@@ -94,9 +147,9 @@ let suite =
     Alcotest.test_case "closest first" `Quick test_nearest_returns_closest_first;
     Alcotest.test_case "enumeration complete" `Quick
       test_nearest_enumerates_everything;
-    Alcotest.test_case "find_first" `Quick test_find_first;
     Alcotest.test_case "identical renderings" `Quick test_identical_renderings;
     Alcotest.test_case "of_attribute" `Quick test_of_attribute;
     QCheck_alcotest.to_alcotest prop_enumeration_complete;
-    QCheck_alcotest.to_alcotest prop_find_first_finds_members;
+    QCheck_alcotest.to_alcotest prop_nearest_is_exact;
+    QCheck_alcotest.to_alcotest prop_insert_order_irrelevant;
   ]

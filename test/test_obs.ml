@@ -458,6 +458,54 @@ let test_trace_well_formed () =
   in
   check_well_formed events
 
+(* Serve's request handlers are systhreads sharing one domain.  Two
+   threads whose spans overlap in time (a handshake guarantees it) must
+   each get their own lane and their own span tree. *)
+let test_trace_threads_isolated () =
+  let step = Atomic.make 0 in
+  let wait_for n =
+    while Atomic.get step < n do
+      Thread.yield ()
+    done
+  in
+  let worker prefix ~open_at ~close_at () =
+    wait_for open_at;
+    Trace.span (prefix ^ "-outer") (fun () ->
+        Atomic.incr step;
+        for _ = 1 to 10 do
+          Trace.span (prefix ^ "-inner") Thread.yield
+        done;
+        wait_for close_at)
+  in
+  let _, events =
+    traced (fun () ->
+        let a = Thread.create (worker "a" ~open_at:0 ~close_at:2) () in
+        let b = Thread.create (worker "b" ~open_at:1 ~close_at:1) () in
+        Thread.join a;
+        Thread.join b)
+  in
+  check_well_formed events;
+  let of_thread prefix =
+    List.filter (fun (e : Trace.event) -> String.starts_with ~prefix e.name) events
+  in
+  let tids prefix =
+    List.sort_uniq Int.compare
+      (List.map (fun (e : Trace.event) -> e.tid) (of_thread prefix))
+  in
+  Alcotest.(check int) "thread a on one lane" 1 (List.length (tids "a"));
+  Alcotest.(check int) "thread b on one lane" 1 (List.length (tids "b"));
+  Alcotest.(check bool) "distinct lanes" true (tids "a" <> tids "b");
+  List.iter
+    (fun prefix ->
+      List.iter
+        (fun (e : Trace.event) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "path of %s stays in thread %s" e.name prefix)
+            true
+            (List.for_all (String.starts_with ~prefix) e.path))
+        (of_thread prefix))
+    [ "a"; "b" ]
+
 let test_trace_json_roundtrip () =
   let db = fig1_db () and sigma = fig1_sigma () in
   Trace.clear ();
@@ -520,6 +568,8 @@ let suite =
     Alcotest.test_case "trace events well-formed" `Quick
       test_trace_well_formed;
     Alcotest.test_case "trace JSON reparses" `Quick test_trace_json_roundtrip;
+    Alcotest.test_case "trace: concurrent threads keep their own spans" `Quick
+      test_trace_threads_isolated;
     Alcotest.test_case "trace paths stable under --jobs (fig1)" `Quick
       test_trace_paths_jobs_independent;
     QCheck_alcotest.to_alcotest prop_trace_paths_jobs_independent;

@@ -111,6 +111,67 @@ let test_invalid_k () =
     (Invalid_argument "Tuple_resolve.make_env: k must be >= 1") (fun () ->
       ignore (Tuple_resolve.make_env ~k:0 repr sigma))
 
+(* A long-lived env kept current by [register] must resolve every tuple of
+   a stream exactly as a fresh env built over the same relation would.
+   The long-lived side runs first and records its repairs; the fresh envs
+   (one per stream position, over the base plus the recorded prefix) are
+   independent of each other and run as pool tasks, at jobs 1 and 4. *)
+let prop_long_lived_env_matches_fresh =
+  let cell =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, Helpers.Gen.value_gen);
+          (2, map Value.string (string_size ~gen:(char_range 'u' 'w') (1 -- 3)));
+          (1, map Value.int (0 -- 5));
+          (1, return Value.null);
+        ])
+  in
+  let row = QCheck.Gen.(array_size (return (List.length Helpers.Gen.attrs)) cell) in
+  QCheck.Test.make ~name:"long-lived env resolves like a fresh one, at jobs 1 and 4"
+    ~count:100
+    (QCheck.make
+       QCheck.Gen.(
+         triple (list_size (0 -- 12) row) (list_size (1 -- 12) row)
+           Helpers.Gen.sigma_gen))
+    (fun (base_rows, stream_rows, sigma) ->
+      let base () =
+        let rel = Relation.create Helpers.Gen.schema in
+        List.iter (fun values -> ignore (Relation.insert rel values)) base_rows;
+        rel
+      in
+      let stream =
+        Array.of_list
+          (List.mapi (fun i values -> Tuple.create ~tid:(1000 + i) values) stream_rows)
+      in
+      let repr = base () in
+      let env = Tuple_resolve.make_env repr sigma in
+      let long_lived =
+        Array.map
+          (fun t ->
+            let rt = Tuple_resolve.resolve env t in
+            Relation.add repr rt;
+            Tuple_resolve.register env rt;
+            rt)
+          stream
+      in
+      let fresh i =
+        let rel = base () in
+        for j = 0 to i - 1 do
+          Relation.add rel (Tuple.copy long_lived.(j))
+        done;
+        Tuple_resolve.resolve (Tuple_resolve.make_env rel sigma) stream.(i)
+      in
+      List.for_all
+        (fun jobs ->
+          let fresh_side =
+            Dq_parallel.Pool.with_pool ~jobs (fun pool ->
+                Dq_parallel.Pool.map_array (Some pool) fresh
+                  (Array.init (Array.length stream) Fun.id))
+          in
+          Array.for_all2 Tuple.equal_values long_lived fresh_side)
+        [ 1; 4 ])
+
 let suite =
   [
     Alcotest.test_case "clean tuple untouched" `Quick test_clean_tuple_untouched;
@@ -122,4 +183,5 @@ let suite =
     Alcotest.test_case "register affects later tuples" `Quick
       test_register_affects_later_tuples;
     Alcotest.test_case "invalid k" `Quick test_invalid_k;
+    QCheck_alcotest.to_alcotest prop_long_lived_env_matches_fresh;
   ]
